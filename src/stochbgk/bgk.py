@@ -17,6 +17,7 @@ by the sign structure of u.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -49,7 +50,6 @@ class BGKConfig:
     n: int
     n_v: int = 32
     v_bound: Optional[float] = None
-    interpolation: str = "linear-monotone"
     snapshot_stride: int = 1
     store_kinetic: bool = False
     store_defect_field: bool = False
@@ -60,8 +60,6 @@ class BGKConfig:
     def __post_init__(self):
         if self.epsilon <= 0 or self.dt <= 0 or self.horizon <= 0:
             raise ConfigurationError("epsilon, dt and horizon must be positive")
-        if self.interpolation != "linear-monotone":
-            raise ConfigurationError(f"unknown interpolation {self.interpolation!r}")
         if self.snapshot_stride < 1:
             raise ConfigurationError("snapshot_stride must be >= 1")
         if self.picard_max_iters < 1:
@@ -99,21 +97,13 @@ class DefectAccumulator:
     _buffer: Optional[np.ndarray] = None
     _buffer_start: float = 0.0
 
-    def _open(self, t: float, shape):
-        self._buffer = np.zeros(shape)
-        self._buffer_start = t
-
-    def accumulate(self, prefix: np.ndarray, t: float) -> None:
-        """Add one step's defect prefix (already scaled by dv in v)."""
-        raw_min = float(prefix.min()) if prefix.size else 0.0
+    def accumulate(self, prefix: np.ndarray, raw_min: float, t: float) -> None:
+        """Add one step's clamped defect prefix (already scaled by dv in v);
+        raw_min is its minimum before the clamp."""
         self.min_entry = min(self.min_entry, raw_min)
-        if raw_min < -1e-8:
-            raise StructuralViolationError(
-                f"defect measure reached {raw_min} at t = {t}; m must be nonnegative"
-            )
         if self._buffer is None:
-            self._open(t, prefix.shape)
-        np.maximum(prefix, 0.0, out=prefix)  # clamp roundoff negatives
+            self._buffer = np.zeros(prefix.shape)
+            self._buffer_start = t
         self._buffer += prefix
 
     def close_slab(self, t_end: float) -> None:
@@ -171,25 +161,47 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # interpolation kernels
 
-def _gather_1d(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """rows[..., i] gathered along the leading spatial axis with zero fill."""
-    nx = rows.shape[0]
-    valid = (idx >= 0) & (idx < nx)
-    safe = np.clip(idx, 0, nx - 1)
-    out = np.take_along_axis(rows, safe, axis=0)
-    out[~valid] = 0.0
-    return out
+def _padded_gather(values: np.ndarray, feet, x0: float, h: float):
+    """Neighbour values and weights of monotone interpolation at the feet.
+
+    ``values`` has d spatial axes of n cells, optionally followed by the
+    v-axis, which must then be the last axis of every foot array too; ``feet``
+    holds one coordinate array per spatial axis.  The box is padded with one
+    zero cell per side and each neighbour index is clipped to [-1, n] on its
+    own, so feet outside the box read zero.  Returns the 2^d neighbour arrays,
+    ordered by offset as in itertools.product((0, 1), repeat=d), and the d
+    fractional weights.
+    """
+    d = len(feet)
+    n = values.shape[0]
+    padded = np.zeros((n + 2,) * d + values.shape[d:])
+    padded[(slice(1, -1),) * d] = values
+    neighbours, weights = [], []
+    for foot in feet:
+        s = (foot - x0) / h
+        i0 = np.floor(s).astype(np.int64)
+        weights.append(s - i0)
+        # lower and upper neighbour, as indices into the padded axis
+        neighbours.append([np.clip(i0 + o, -1, n) + 1 for o in (0, 1)])
+    corners = []
+    for idx in itertools.product(*neighbours):
+        lin = idx[0]
+        for i in idx[1:]:
+            lin = lin * (n + 2) + i
+        if values.ndim == d:
+            corners.append(padded.ravel()[lin])
+        else:
+            rows = padded.reshape(-1, values.shape[-1])
+            picked = np.take_along_axis(rows, lin.reshape(-1, rows.shape[1]), axis=0)
+            corners.append(picked.reshape(lin.shape))
+    return corners, weights
 
 
 def _interp_monotone_1d(values: np.ndarray, feet: np.ndarray,
                         x0: float, h: float) -> np.ndarray:
-    """Linear interpolation of values (nx, nv) at feet (nx, nv), clamped to
-    the local neighbor range so no new extrema appear."""
-    s = (feet - x0) / h
-    i0 = np.floor(s).astype(np.int64)
-    w = s - i0
-    a = _gather_1d(values, i0)
-    b = _gather_1d(values, i0 + 1)
+    """Linear interpolation of values (nx[, nv]) at feet, clamped to the
+    local neighbor range so no new extrema appear."""
+    (a, b), (w,) = _padded_gather(values, (feet,), x0, h)
     out = a + w * (b - a)
     return np.clip(out, np.minimum(a, b), np.maximum(a, b))
 
@@ -197,29 +209,7 @@ def _interp_monotone_1d(values: np.ndarray, feet: np.ndarray,
 def _interp_monotone_2d(values: np.ndarray, feet_x: np.ndarray, feet_y: np.ndarray,
                         x0: float, h: float) -> np.ndarray:
     """Bilinear interpolation of values (nx, ny, nv), clamped to the corner range."""
-    nx, ny, nv = values.shape
-    sx = (feet_x - x0) / h
-    sy = (feet_y - x0) / h
-    ix = np.floor(sx).astype(np.int64)
-    iy = np.floor(sy).astype(np.int64)
-    wx = sx - ix
-    wy = sy - iy
-    flat = values.reshape(nx * ny, nv)
-
-    def corner(di, dj):
-        ci = ix + di
-        cj = iy + dj
-        valid = (ci >= 0) & (ci < nx) & (cj >= 0) & (cj < ny)
-        lin = np.clip(ci, 0, nx - 1) * ny + np.clip(cj, 0, ny - 1)
-        out = np.take_along_axis(flat, lin.reshape(nx * ny, nv), axis=0)
-        out = out.reshape(nx, ny, nv)
-        out[~valid] = 0.0
-        return out
-
-    c00 = corner(0, 0)
-    c10 = corner(1, 0)
-    c01 = corner(0, 1)
-    c11 = corner(1, 1)
+    (c00, c01, c10, c11), (wx, wy) = _padded_gather(values, (feet_x, feet_y), x0, h)
     out = ((1 - wx) * (1 - wy) * c00 + wx * (1 - wy) * c10
            + (1 - wx) * wy * c01 + wx * wy * c11)
     lo = np.minimum(np.minimum(c00, c10), np.minimum(c01, c11))
@@ -269,18 +259,28 @@ def relax_substep(u_tilde: KineticField, epsilon: float, dt: float,
 
     u <- M + exp(-dt/eps) (u~ - M) with M the lift of rho~; the v-integral is
     conserved and a Maxwellian input is returned unchanged, bit for bit.
-    ``rho_bounds`` optionally clips the frozen density (roundoff guard used
-    by the engine to make the discrete maximum principle exact).
+    ``rho_bounds`` clips the frozen density, by default to [-N, N]; the
+    engine passes the sign range of rho0, which makes the discrete maximum
+    principle exact.
     """
-    dv = u_tilde.vgrid.dv
-    rho = kinetic_density_values(u_tilde.values, dv)
     if rho_bounds is None:
         rho_bounds = (-u_tilde.vgrid.bound, u_tilde.vgrid.bound)
-    np.clip(rho, rho_bounds[0], rho_bounds[1], out=rho)
-    m = maxwellian_cell_average(rho, u_tilde.vgrid)
-    alpha = math.exp(-dt / epsilon)
-    new = m + alpha * (u_tilde.values - m)
+    new, _ = _relax(u_tilde.values, u_tilde.vgrid, math.exp(-dt / epsilon), rho_bounds)
     return KineticField(u_tilde.sgrid, u_tilde.vgrid, new)
+
+
+def _relax(values: np.ndarray, vgrid: VelocityGrid, alpha: float, rho_bounds):
+    """The relaxation kernel: (M + alpha (u~ - M), frozen density clipped
+    to rho_bounds) with M the lift of that density."""
+    rho = kinetic_density_values(values, vgrid.dv)
+    np.clip(rho, rho_bounds[0], rho_bounds[1], out=rho)
+    m = maxwellian_cell_average(rho, vgrid)
+    return m + alpha * (values - m), rho
+
+
+def _sign_range(rho: np.ndarray):
+    """[min(0, rho), max(0, rho)]: the engine's frozen-density clip."""
+    return min(0.0, float(rho.min())), max(0.0, float(rho.max()))
 
 
 def accumulate_defect(u_before_relax: KineticField, u_after_relax: KineticField,
@@ -295,20 +295,31 @@ def accumulate_defect(u_before_relax: KineticField, u_after_relax: KineticField,
     if not (u_before_relax.sgrid.compatible(u_after_relax.sgrid)
             and u_before_relax.vgrid.compatible(u_after_relax.vgrid)):
         raise ConfigurationError("defect fields live on different grids")
-    dv = u_before_relax.vgrid.dv
-    prefix = dv * np.cumsum(u_after_relax.values - u_before_relax.values, axis=-1)
+    return _defect_prefix(u_before_relax.values, u_after_relax.values,
+                          u_before_relax.vgrid.dv)[0]
+
+
+def _defect_prefix(before: np.ndarray, after: np.ndarray, dv: float):
+    """(clamped dv-prefix sums of after - before, raw minimum before the clamp)."""
+    prefix = dv * np.cumsum(after - before, axis=-1)
     low = float(prefix.min()) if prefix.size else 0.0
     if low < -1e-8:
         raise StructuralViolationError(f"defect prefix reached {low}; m must be >= 0")
     np.maximum(prefix, 0.0, out=prefix)
-    return prefix
+    return prefix, low
 
 
 def step(state: KineticField, t: float, config: BGKConfig,
          path: BrownianPath, spec: ProblemSpec) -> KineticField:
-    """One full splitting step: transport then relaxation."""
+    """One full splitting step: transport then relaxation.
+
+    The frozen density is clipped to the sign range of the state's density,
+    the engine's policy, so a step from the lift of rho0 is the first step
+    of run_simulation bit for bit.
+    """
+    bounds = _sign_range(kinetic_density_values(state.values, state.vgrid.dv))
     u_tilde = transport_substep(state, t, config.dt, path, spec)
-    return relax_substep(u_tilde, config.epsilon, config.dt)
+    return relax_substep(u_tilde, config.epsilon, config.dt, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -364,27 +375,12 @@ class _Engine:
             )
         if path.horizon < config.horizon - 1e-12:
             raise ConfigurationError("path horizon shorter than run horizon")
-        self.spec = spec
-        self.config = config
-        self.path = path
         self.sgrid, self.vgrid, self.rho0 = _build_grids(spec, config)
         self.b_grid = spec.b_on_grid(self.sgrid)
         self.fp = np.asarray(spec.f_prime(self.vgrid.centers()), dtype=float)
         self.alpha = math.exp(-config.dt / config.epsilon)
-        lo = min(0.0, float(self.rho0.values.min()))
-        hi = max(0.0, float(self.rho0.values.max()))
-        self.rho_bounds = (lo, hi)
+        self.rho_bounds = _sign_range(self.rho0.values)
         _check_pad(self.rho0, spec, config, path, self.vgrid.bound)
-
-    def transport(self, values: np.ndarray, k: int) -> np.ndarray:
-        return _transport_values(values, self.path.increments[k], self.config.dt,
-                                 self.sgrid, self.fp, self.b_grid)
-
-    def relax(self, values: np.ndarray):
-        rho = kinetic_density_values(values, self.vgrid.dv)
-        np.clip(rho, self.rho_bounds[0], self.rho_bounds[1], out=rho)
-        m = maxwellian_cell_average(rho, self.vgrid)
-        return m + self.alpha * (values - m), rho
 
 
 def run_simulation(spec: ProblemSpec, config: BGKConfig,
@@ -410,10 +406,10 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
 
     for k in range(n_steps):
         t_next = (k + 1) * config.dt
-        u_tilde = eng.transport(u, k)
-        u, rho = eng.relax(u_tilde)
-        prefix = eng.vgrid.dv * np.cumsum(u - u_tilde, axis=-1)
-        defect.accumulate(prefix, k * config.dt)
+        u_tilde = _transport_values(u, path.increments[k], config.dt, eng.sgrid,
+                                    eng.fp, eng.b_grid)
+        u, rho = _relax(u_tilde, eng.vgrid, eng.alpha, eng.rho_bounds)
+        defect.accumulate(*_defect_prefix(u_tilde, u, eng.vgrid.dv), k * config.dt)
         if not np.isfinite(rho.max()) or not np.isfinite(rho.min()):
             raise NumericalAbortError(
                 f"non-finite density at step {k + 1} (t = {t_next})",
@@ -455,19 +451,6 @@ def _single_cell_maxwellian(rho: np.ndarray, vgrid: VelocityGrid,
     hi = np.maximum(r, 0.0)
     frac = np.clip(w_hi, lo, hi) - np.clip(w_lo, lo, hi)
     return np.where(r >= 0, frac, -frac)
-
-
-def _interp_density_1d(rho: np.ndarray, feet: np.ndarray, x0: float, h: float):
-    s = (feet - x0) / h
-    i0 = np.floor(s).astype(np.int64)
-    w = s - i0
-    nx = rho.shape[0]
-    valid0 = (i0 >= 0) & (i0 < nx)
-    valid1 = (i0 + 1 >= 0) & (i0 + 1 < nx)
-    a = np.where(valid0, rho[np.clip(i0, 0, nx - 1)], 0.0)
-    b = np.where(valid1, rho[np.clip(i0 + 1, 0, nx - 1)], 0.0)
-    out = a + w * (b - a)
-    return np.clip(out, np.minimum(a, b), np.maximum(a, b))
 
 
 def contraction_bound(spec: ProblemSpec, window: float, epsilon: float,
@@ -548,8 +531,8 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
                 for l in range(m):
                     s_l = l * dt
                     wgt = math.exp((s_l + dt - t_m) / eps) - math.exp((s_l - t_m) / eps)
-                    rho_foot = _interp_density_1d(rho_iter[l], feet[m][l],
-                                                  x0, eng.sgrid.h)
+                    rho_foot = _interp_monotone_1d(rho_iter[l], feet[m][l],
+                                                   x0, eng.sgrid.h)
                     acc += wgt * _single_cell_maxwellian(rho_foot, eng.vgrid, w_lo, w_hi)
                 tail = math.exp(-t_m / eps)
                 u_init = _interp_monotone_1d(u_start, feet[m][0].T, x0, eng.sgrid.h)
@@ -588,14 +571,11 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
     # kinetic state exists only at window boundaries here; the density L1 is
     # the exact lower bound for ||u||_1 and coincides for one-signed data
     u_l1 = np.asarray([float(np.sum(np.abs(r))) * eng.sgrid.cell_volume for r in snaps])
-    traj = Trajectory(
+    return Trajectory(
         sgrid=eng.sgrid, vgrid=eng.vgrid, times=times, rho=snaps,
         u_l1=u_l1, defect=defect, final_u=final_u, path=path, spec=spec,
-        config=config, mode="picard",
+        config=config, mode="picard", picard_ratios=ratios, picard_bound=bound,
     )
-    traj.picard_ratios = ratios
-    traj.picard_bound = bound
-    return traj
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,6 @@ class BrownianPath:
     def n_steps(self) -> int:
         return int(round(self.horizon / self.dt))
 
-    def node_times(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * self.dt
-
     def node_index(self, t: float) -> int:
         """Nearest path node to time t (dt is the global time resolution)."""
         k = int(round(t / self.dt))

@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .audit import run_standard_audit
+from .audit import (AuditReport, check_bv_nonincrease, check_max_principle,
+                    run_standard_audit)
 from .bgk import run_simulation
 from .brownian import levy_modulus_statistic, sample_path, sample_paths
 from .config import (build_bgk_config, build_spec, load_config,
@@ -27,7 +28,6 @@ from .csvio import (check_manifest, read_trajectory_csv, write_audit_csv,
                     write_defect_csv, write_manifest, write_rows,
                     write_trajectory_csv)
 from .errors import ConfigurationError, NumericalAbortError, StochBGKError
-from .fields import DensityField, discrete_bv
 from .grids import SpatialGrid
 from .oracles import shift_reduction_oracle
 
@@ -174,28 +174,22 @@ def _write_figure_pair(out, det_rows, sto_rows):
 
 
 def cmd_audit(cfg, seed, out, bundle_dir) -> int:
+    """Re-run the live audit's checks that stored snapshots support."""
     manifest = check_manifest(bundle_dir)
-    times, rho, dim = read_trajectory_csv(os.path.join(bundle_dir, "trajectory.csv"))
+    traj_file = os.path.join(bundle_dir, "trajectory.csv")
+    if "trajectory.csv" not in manifest["files"]:
+        raise ConfigurationError(f"{traj_file}: the bundle has no trajectory")
+    _, rho, dim = read_trajectory_csv(traj_file)
+    spec = build_spec(manifest["config"])
     half_width = float(_opt(manifest["config"], "grid.half_width", 1.0))
     grid = SpatialGrid(dim=dim, half_width=half_width, n=rho.shape[1])
-    sup0 = float(np.max(np.abs(rho[0])))
-    sup_t = float(np.max(np.abs(rho)))
-    entries = [("max_principle", sup_t, sup0, 0.0,
-                "PASS" if sup_t <= sup0 else "FAIL")]
-    # BV non-increase is a theorem only for x-independent fluxes
-    field_preset = _opt(manifest["config"], "spec.field.preset", "")
-    if field_preset in ("constant", "zero"):
-        bv0 = discrete_bv(DensityField(grid, rho[0]))
-        bv_worst = max(discrete_bv(DensityField(grid, r)) for r in rho)
-        ok_bv = bv_worst <= bv0 * (1 + 1e-8) if bv0 > 0 else bv_worst <= 1e-12
-        entries.append(("bv_nonincrease", bv_worst, bv0, 1e-8,
-                        "PASS" if ok_bv else "FAIL"))
+    report = AuditReport([check_max_principle(rho),
+                          check_bv_nonincrease(rho, grid, spec)])
     files = [os.path.join(out, "reaudit.csv")]
-    write_rows(files[0], ["check", "measured", "bound", "tol", "verdict"], entries)
+    write_audit_csv(report, files[0])
     _finish_bundle(out, cfg, seed, files)
-    for row in entries:
-        print(f"{row[0]:20s} measured={row[1]:.6g} bound={row[2]:.6g} {row[4]}")
-    return 0 if all(r[4] == "PASS" for r in entries) else 1
+    print(report.table())
+    return 0 if report.passed() else 1
 
 
 def cmd_paths(cfg, seed, out) -> int:

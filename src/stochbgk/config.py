@@ -164,7 +164,6 @@ def validate_run_config(cfg: dict) -> dict:
     resolved = json.loads(json.dumps(cfg))  # deep copy, JSON-clean
     resolved.setdefault("monte_carlo", {})
     resolved["monte_carlo"].setdefault("master_seed", 0)
-    resolved["monte_carlo"].setdefault("paths", 1)
     resolved["monte_carlo"].setdefault("workers", 1)
     if exp in ("simulate", "convergence"):
         build_spec(resolved)

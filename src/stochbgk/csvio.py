@@ -114,8 +114,14 @@ def check_manifest(out_dir) -> dict:
     path = os.path.join(out_dir, "manifest.json")
     if not os.path.exists(path):
         raise ConfigurationError(f"no manifest in {out_dir}: partial bundle")
-    with open(path) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("files"), dict)
+            and isinstance(manifest.get("config"), dict)):
+        raise ConfigurationError(f"{path}: not a bundle manifest")
     for name, digest in manifest["files"].items():
         full = os.path.join(out_dir, name)
         if not os.path.exists(full):

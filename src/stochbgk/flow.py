@@ -25,13 +25,10 @@ class FlowQuery:
     end: float
     point: np.ndarray
     velocity: float
-    direction: str = "forward"
 
     def __post_init__(self):
         if self.start > self.end:
             raise ConfigurationError(f"need start <= end, got [{self.start}, {self.end}]")
-        if self.direction not in ("forward", "inverse"):
-            raise ConfigurationError(f"unknown direction {self.direction!r}")
 
 
 def _as_points(x, dim):
@@ -51,8 +48,6 @@ def _window(q: FlowQuery, path: BrownianPath):
 
 def flow_forward(q: FlowQuery, path: BrownianPath, spec: ProblemSpec) -> np.ndarray:
     """Euler-Maruyama X(start, end, x): drift at the left endpoint."""
-    if q.direction != "forward":
-        raise ConfigurationError("query direction must be 'forward'")
     k0, k1 = _window(q, path)
     fp = float(spec.f_prime(q.velocity))
     x = _as_points(q.point, path.dim).copy()
@@ -67,8 +62,6 @@ def flow_inverse(q: FlowQuery, path: BrownianPath, spec: ProblemSpec) -> np.ndar
     With Y(tau) = X(tau) - B(tau), integrate dY/dtau = f'(v) b(Y + B(tau))
     from `end` down to `start` using the same increments, then add B(start).
     """
-    if q.direction != "inverse":
-        raise ConfigurationError("query direction must be 'inverse'")
     k0, k1 = _window(q, path)
     fp = float(spec.f_prime(q.velocity))
     nodes = path.values_at_nodes()

@@ -8,8 +8,6 @@ than tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .brownian import BrownianPath
@@ -18,18 +16,6 @@ from .fields import DensityField
 from .flow import FlowQuery, flow_inverse
 from .grids import SpatialGrid
 from .problem import ProblemSpec
-
-
-@dataclass(frozen=True)
-class RiemannProblem:
-    """Left/right states for a scalar flux."""
-
-    rho_l: float
-    rho_r: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.rho_l) and np.isfinite(self.rho_r)):
-            raise ConfigurationError("Riemann states must be finite")
 
 
 def godunov_flux(flux, a, b, n_scan: int = 129, critical_points=(0.0,)):
@@ -164,7 +150,7 @@ def linear_characteristics_oracle(spec: ProblemSpec, rho0: DensityField,
         raise ConfigurationError("linear characteristics oracle needs f(r) = r")
     grid = rho0.grid
     pts = grid.centers().reshape(-1, grid.dim)
-    q = FlowQuery(start=0.0, end=t, point=pts, velocity=1.0, direction="inverse")
+    q = FlowQuery(start=0.0, end=t, point=pts, velocity=1.0)
     feet = flow_inverse(q, path, spec)
     if grid.dim == 1:
         vals = np.interp(feet[:, 0], grid.axis_centers(), rho0.values,

@@ -7,7 +7,7 @@ over the solver's velocity range rather than all of R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -81,21 +81,7 @@ class ProblemSpec:
         return DensityField(grid, np.asarray(self.rho0(grid), dtype=float))
 
     def with_initial(self, rho0: Callable[[SpatialGrid], Array], name=None) -> "ProblemSpec":
-        out = ProblemSpec(
-            name=name or self.name,
-            dim=self.dim,
-            f=self.f,
-            f_prime=self.f_prime,
-            b=self.b,
-            div_b=self.div_b,
-            rho0=rho0,
-            div_free=self.div_free,
-            f_prime_bounded=self.f_prime_bounded,
-            div_b_sup=self.div_b_sup,
-            b_sup=self.b_sup,
-            linear_flux=self.linear_flux,
-        )
-        return out
+        return replace(self, rho0=rho0, name=name or self.name)
 
 
 # ---------------------------------------------------------------------------

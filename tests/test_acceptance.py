@@ -70,7 +70,7 @@ def divb_run():
 def test_criterion_01_max_principle(burgers_run, divb_run):
     ok = True
     for traj, spec, _, _ in (burgers_run, divb_run):
-        res = check_max_principle(traj)
+        res = check_max_principle(traj.rho)
         ok &= res.passed and res.measured <= res.bound  # zero tolerance
     traj, spec, cfg, path = burgers_run
     bad = traj.rho.copy()
@@ -80,7 +80,7 @@ def test_criterion_01_max_principle(burgers_run, divb_run):
         sgrid=traj.sgrid, vgrid=vg, times=traj.times, rho=bad,
         u_l1=traj.u_l1, defect=DefectAccumulator(traj.sgrid.cell_volume, vg.dv),
         final_u=traj.final_u, path=path, spec=spec, config=cfg)
-    control_fails = not check_max_principle(corrupted).passed
+    control_fails = not check_max_principle(corrupted.rho).passed
     ok &= control_fails
     assert _report(1, ok, "sup_t ||rho||_inf <= ||rho0||_inf exactly; "
                           "corrupted field rejected")
@@ -178,7 +178,8 @@ def test_criterion_05_comparison_principle():
 
 def test_criterion_06_bv_nonincrease(burgers_run):
     from stochbgk.audit import check_bv_nonincrease
-    ok = check_bv_nonincrease(burgers_run[0]).passed
+    traj = burgers_run[0]
+    ok = check_bv_nonincrease(traj.rho, traj.sgrid, traj.spec).passed
     # rarefaction data and random BV data under the x-independent flux
     T = 0.32
     dt = T / 256
@@ -188,7 +189,7 @@ def test_criterion_06_bv_nonincrease(burgers_run):
         cfg = BGKConfig(epsilon=2 * dt, dt=dt, horizon=T, half_width=3.0,
                         n=256, n_v=32, snapshot_stride=4)
         traj = run_simulation(spec, cfg, sample_path(21, dt, T, dim=1))
-        ok &= check_bv_nonincrease(traj).passed
+        ok &= check_bv_nonincrease(traj.rho, traj.sgrid, traj.spec).passed
     assert _report(6, ok, "BV(rho(t)) <= BV(rho0) (1 + 1e-8) on all "
                           "x-independent-flux runs")
 

@@ -176,11 +176,11 @@ class TestKineticResidual:
 class TestBoundChecks:
     def test_max_principle_pass_and_fail(self):
         traj, spec, cfg, path = _run()
-        assert check_max_principle(traj).passed
+        assert check_max_principle(traj.rho).passed
         bad = traj.rho.copy()
         bad[3, 10] = 2.0
         corrupted = _synthetic(spec, cfg, path, bad, times=traj.times)
-        assert not check_max_principle(corrupted).passed
+        assert not check_max_principle(corrupted.rho).passed
 
     def test_l1_growth_divfree(self):
         traj, spec, _, _ = _run()
@@ -194,13 +194,13 @@ class TestBoundChecks:
 
     def test_bv_nonincrease_on_riemann(self):
         traj, _, _, _ = _run()
-        res = check_bv_nonincrease(traj)
+        res = check_bv_nonincrease(traj.rho, traj.sgrid, traj.spec)
         assert res.passed and not res.note
 
     def test_bv_check_skips_x_dependent_field(self):
         spec = burgers_tanh_1d(bump_data(0.0, 1.0, 0.9), amplitude=0.5)
         traj, _, _, _ = _run(spec=spec)
-        assert "skipped" in check_bv_nonincrease(traj).note
+        assert "skipped" in check_bv_nonincrease(traj.rho, traj.sgrid, traj.spec).note
 
     def test_defect_structure_and_envelope(self):
         traj, spec, _, _ = _run()
@@ -270,7 +270,7 @@ class TestComparison:
             burgers_const_1d(constant_data(0.8), c=1.0), BGKConfig(**cfg), path)
         res = check_comparison(run, ceiling)
         assert res.passed
-        assert check_max_principle(run).passed
+        assert check_max_principle(run.rho).passed
 
 
 class TestNegativeControls:
@@ -297,7 +297,7 @@ class TestNegativeControls:
             rho[-1, ::2] += 0.3  # sawtooth injection
             np.clip(rho[-1], -1.0, 1.0, out=rho[-1])
         bad = self._corrupt(traj, spec, cfg, path, mutate)
-        assert not check_bv_nonincrease(bad).passed
+        assert not check_bv_nonincrease(bad.rho, bad.sgrid, bad.spec).passed
 
     def test_energy_identity_control(self):
         traj, spec, cfg, path = _run(n=384, dt_frac=192, eps_mult=1, T=0.3)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from stochbgk.bgk import (BGKConfig, accumulate_defect, epsilon_continuation,
+from stochbgk.bgk import (BGKConfig, _interp_monotone_1d, _interp_monotone_2d,
+                          accumulate_defect, epsilon_continuation,
                           picard_solve, relax_substep, run_simulation, step,
                           transport_substep)
 from stochbgk.brownian import sample_path
@@ -84,6 +85,45 @@ class TestTransport:
         assert np.all(out.values[..., pos] >= 0.0)
         assert np.all(out.values[..., ~pos] <= 0.0)
         assert np.max(np.abs(out.values)) <= 1.0
+
+
+class TestKernels:
+    """The zero-padded gather behind the 1D, 2D and Picard interpolations."""
+
+    OFFSETS = (1.25, 2.0, 7.5, 1e3)  # cells beyond the first or last center
+
+    def test_1d_feet_far_outside_read_zero(self):
+        n, h, x0 = 16, 0.25, -1.875
+        x_last = x0 + (n - 1) * h
+        feet = np.array([[x0 - k * h for k in self.OFFSETS]
+                         + [x_last + k * h for k in self.OFFSETS]] * n)
+        kinetic = np.ones((n, feet.shape[1]))
+        assert np.all(_interp_monotone_1d(kinetic, feet, x0, h) == 0.0)
+        density = np.ones(n)  # Picard gathers a 1-D rho at (n_v, n) feet
+        assert np.all(_interp_monotone_1d(density, feet, x0, h) == 0.0)
+
+    def test_1d_one_cell_outside_reads_edge_neighbour(self):
+        n, h, x0 = 16, 0.25, -1.875
+        feet = np.full((n, 2), x0 - 0.5 * h)
+        feet[:, 1] = x0 + (n - 0.5) * h
+        vals = np.ones((n, 2))
+        assert np.all(_interp_monotone_1d(vals, feet, x0, h) == 0.5)
+
+    def test_2d_feet_far_outside_read_zero(self):
+        n, h, x0 = 8, 0.25, -0.875
+        x_last = x0 + (n - 1) * h
+        outside = ([x0 - k * h for k in self.OFFSETS]
+                   + [x_last + k * h for k in self.OFFSETS])
+        inside = [x0, 0.3, x_last]
+        pairs = ([(a, b) for a in outside for b in outside + inside]
+                 + [(b, a) for a in outside for b in inside])
+        fx = np.array([p[0] for p in pairs])
+        fy = np.array([p[1] for p in pairs])
+        nv = len(pairs)
+        shape = (n, n, nv)
+        out = _interp_monotone_2d(np.ones(shape), np.broadcast_to(fx, shape),
+                                  np.broadcast_to(fy, shape), x0, h)
+        assert np.all(out == 0.0)
 
 
 class TestRelax:
@@ -201,6 +241,29 @@ class TestRun:
         out = step(u0, 0.0, cfg, path, spec)
         rho = density_from_kinetic(out)
         assert rho.linf() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("rho0, v_bound", [
+        (plateau_data(1.0, -1.0, 0.0), 1.5),
+        (lambda g: 0.8 * np.sin(np.pi * g.axis_centers() / 1.5), 1.0),
+    ], ids=["plateau", "sign-changing"])
+    def test_step_from_lift_is_first_engine_step(self, rho0, v_bound):
+        spec = burgers_const_1d(rho0, c=1.0)
+        dt = 0.01
+        cfg = BGKConfig(epsilon=0.02, dt=dt, horizon=dt, half_width=3.0,
+                        n=128, n_v=16, v_bound=v_bound)
+        path = sample_path(3, dt, dt, dim=1)
+        traj = run_simulation(spec, cfg, path)
+        rho_0 = traj.initial().values
+        assert np.max(np.abs(rho_0)) < traj.vgrid.bound
+        u0 = lift_density(traj.initial(), traj.vgrid)
+        out = step(u0, 0.0, cfg, path, spec)
+        assert np.array_equal(out.values, traj.final_u.values)
+        # the engine's snapshot is the frozen density, clipped to the sign
+        # range of rho0
+        u_tilde = transport_substep(u0, 0.0, dt, path, spec)
+        frozen = np.clip(density_from_kinetic(u_tilde).values,
+                         min(0.0, rho_0.min()), max(0.0, rho_0.max()))
+        assert np.array_equal(frozen, traj.rho[-1])
 
     def test_max_principle_exact_over_run(self):
         traj, _, _ = self._run()

@@ -150,6 +150,57 @@ class TestAuditCommand:
             blobs.append(_read_bytes(re_out / "reaudit.csv"))
         assert blobs[0] == blobs[1]
 
+    def _audit_rows(self, path, names):
+        rows = [r for r in path.read_text().splitlines()
+                if r.split(",")[0] in names]
+        assert len(rows) == len(names)
+        return rows
+
+    def test_reaudit_rows_equal_live_audit_rows(self, tmp_path):
+        out = self._bundle(tmp_path)
+        re_out = tmp_path / "re"
+        assert main(["audit", "--config", self._audit_cfg(tmp_path),
+                     "--bundle", str(out), "--out", str(re_out)]) == 0
+        names = ("max_principle", "bv_nonincrease")
+        assert self._audit_rows(re_out / "reaudit.csv", names) == \
+            self._audit_rows(out / "audit.csv", names)
+
+    def test_reaudit_skips_bv_for_x_dependent_field(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(SIM_CFG))
+        cfg["spec"]["field"] = {"preset": "tanh", "amplitude": 0.5}
+        out, re_out = tmp_path / "run", tmp_path / "re"
+        main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out)])
+        capsys.readouterr()
+        main(["audit", "--config", self._audit_cfg(tmp_path),
+              "--bundle", str(out), "--out", str(re_out)])
+        assert "skipped: b is not constant" in capsys.readouterr().out
+        names = ("bv_nonincrease",)
+        assert self._audit_rows(re_out / "reaudit.csv", names) == \
+            self._audit_rows(out / "audit.csv", names)
+
+    def test_corrupt_manifest_exits_2(self, tmp_path, capsys):
+        out = self._bundle(tmp_path)
+        (out / "manifest.json").write_text('{"files": {')
+        rc = main(["audit", "--config", self._audit_cfg(tmp_path),
+                   "--bundle", str(out), "--out", str(tmp_path / "re")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("configuration error:")
+        assert str(out / "manifest.json") in err
+
+    def test_bundle_without_trajectory_exits_2(self, tmp_path, capsys):
+        cfg = {"experiment": "counterexample",
+               "counterexample": {"t": 0.5, "resolutions": [32]}}
+        out = tmp_path / "c"
+        assert main(["counterexample", "--config", _write(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        rc = main(["audit", "--config", self._audit_cfg(tmp_path),
+                   "--bundle", str(out), "--out", str(tmp_path / "re")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("configuration error:")
+        assert str(out / "trajectory.csv") in err
+
     def test_tampered_bundle_rejected(self, tmp_path):
         out = self._bundle(tmp_path)
         with open(out / "defect.csv", "a") as fh:

@@ -59,7 +59,7 @@ def test_constant_drift_is_exact():
 def test_inverse_is_exact_for_zero_field():
     spec = _spec_1d(_zero_field())
     path = sample_path(4, 1e-3, 1.0, dim=1)
-    q = FlowQuery(0.2, 0.8, np.array([0.3]), velocity=1.0, direction="inverse")
+    q = FlowQuery(0.2, 0.8, np.array([0.3]), velocity=1.0)
     out = flow_inverse(q, path, spec)
     shift = path.value(0.8) - path.value(0.2)
     assert np.allclose(out, 0.3 - shift, atol=0.0)
@@ -71,7 +71,7 @@ def test_identity_at_equal_times():
     x = np.array([0.4])
     assert np.allclose(flow_forward(FlowQuery(0.5, 0.5, x, 1.0), path, spec), x)
     assert np.allclose(
-        flow_inverse(FlowQuery(0.5, 0.5, x, 1.0, "inverse"), path, spec), x)
+        flow_inverse(FlowQuery(0.5, 0.5, x, 1.0), path, spec), x)
 
 
 def test_round_trip_bound_and_halving():
@@ -81,7 +81,7 @@ def test_round_trip_bound_and_halving():
     for dt in (1e-3, 5e-4):
         path = sample_path(11, dt, 0.5, dim=1)
         fwd = flow_forward(FlowQuery(0.0, 0.5, xs, 1.0), path, spec)
-        back = flow_inverse(FlowQuery(0.0, 0.5, fwd, 1.0, "inverse"), path, spec)
+        back = flow_inverse(FlowQuery(0.0, 0.5, fwd, 1.0), path, spec)
         errs.append(float(np.max(np.abs(back - xs))))
     assert errs[0] <= 10 * 1e-3
     assert errs[1] <= 0.75 * errs[0]  # roughly halves with dt
@@ -110,11 +110,6 @@ def test_monotone_in_1d():
 
 
 def test_direction_validation():
-    spec = _spec_1d(_zero_field())
-    path = sample_path(4, 1e-3, 1.0, dim=1)
-    with pytest.raises(ConfigurationError):
-        flow_forward(FlowQuery(0.0, 1.0, np.array([0.0]), 1.0, "inverse"),
-                     path, spec)
     with pytest.raises(ConfigurationError):
         FlowQuery(0.9, 0.1, np.array([0.0]), 1.0)
 
