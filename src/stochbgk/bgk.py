@@ -137,6 +137,7 @@ class Trajectory:
     mode: str = "splitting"
     picard_ratios: Optional[list] = None
     picard_bound: Optional[float] = None
+    picard_residuals: Optional[list] = None  # per window, per iteration
 
     def snapshot(self, i: int) -> DensityField:
         return DensityField(self.sgrid, self.rho[i])
@@ -161,55 +162,85 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # interpolation kernels
 
-def _padded_gather(values: np.ndarray, feet, x0: float, h: float):
-    """Neighbour values and weights of monotone interpolation at the feet.
-
-    ``values`` has d spatial axes of n cells, optionally followed by the
-    v-axis, which must then be the last axis of every foot array too; ``feet``
-    holds one coordinate array per spatial axis.  The box is padded with one
-    zero cell per side and each neighbour index is clipped to [-1, n] on its
-    own, so feet outside the box read zero.  Returns the 2^d neighbour arrays,
-    ordered by offset as in itertools.product((0, 1), repeat=d), and the d
-    fractional weights.
-    """
-    d = len(feet)
+def _pad(values: np.ndarray, d: int) -> np.ndarray:
+    """values with two zero cells added on each side of its first d axes."""
     n = values.shape[0]
-    padded = np.zeros((n + 2,) * d + values.shape[d:])
-    padded[(slice(1, -1),) * d] = values
-    neighbours, weights = [], []
-    for foot in feet:
-        s = (foot - x0) / h
-        i0 = np.floor(s).astype(np.int64)
-        weights.append(s - i0)
-        # lower and upper neighbour, as indices into the padded axis
-        neighbours.append([np.clip(i0 + o, -1, n) + 1 for o in (0, 1)])
-    corners = []
-    for idx in itertools.product(*neighbours):
-        lin = idx[0]
-        for i in idx[1:]:
-            lin = lin * (n + 2) + i
-        if values.ndim == d:
-            corners.append(padded.ravel()[lin])
+    padded = np.zeros((n + 4,) * d + values.shape[d:])
+    padded[(slice(2, -2),) * d] = values
+    return padded
+
+
+def _gather_buffers(shape, d: int):
+    """Preallocated (corners, weights, base index) of _padded_gather at shape."""
+    return ([np.empty(shape) for _ in range(2 ** d)],
+            [np.empty(shape) for _ in range(d)], np.empty(shape, dtype=np.intp))
+
+
+def _padded_gather(padded: np.ndarray, coords, buffers=None):
+    """Neighbour values and weights of monotone interpolation.
+
+    ``padded`` comes from _pad: d spatial axes of n + 4 cells, optionally
+    followed by the v-axis, which must then be the last axis of every
+    coordinate array too.  ``coords`` holds one array per spatial axis of
+    scaled foot coordinates s = (foot - x0)/h.  Each axis gets one base index
+    clip(floor(s), -2, n) + 2 and its upper neighbour is base + stride, so
+    feet outside the box read the zero cells.  Returns the 2^d neighbour
+    arrays, ordered by offset as in itertools.product((0, 1), repeat=d), and
+    the d fractional weights s - floor(s); ``buffers`` (from _gather_buffers)
+    receives them.
+    """
+    d = len(coords)
+    n = padded.shape[0] - 4
+    if buffers is None:
+        buffers = _gather_buffers(np.broadcast_shapes(*(np.shape(s) for s in coords)), d)
+    corners, weights, base = buffers
+    steps = [stride // padded.itemsize for stride in padded.strides[:d]]
+    floor = corners[0]  # scratch until the corners are read
+    for axis, (s, w, step) in enumerate(zip(coords, weights, steps)):
+        np.floor(s, out=floor)
+        np.subtract(s, floor, out=w)
+        np.clip(floor, -2, n, out=floor)
+        floor += 2
+        if axis == 0:
+            np.multiply(floor, step, out=base, casting="unsafe")
         else:
-            rows = padded.reshape(-1, values.shape[-1])
-            picked = np.take_along_axis(rows, lin.reshape(-1, rows.shape[1]), axis=0)
-            corners.append(picked.reshape(lin.shape))
+            floor *= step
+            np.add(base, floor, out=base, casting="unsafe")
+    if padded.ndim > d:
+        base += np.arange(padded.shape[-1])
+    flat = padded.ravel()
+    for corner, offset in zip(corners, itertools.product((0, 1), repeat=d)):
+        start = sum(o * step for o, step in zip(offset, steps))
+        # every index is in range; "wrap" only avoids the buffered out= of "raise"
+        np.take(flat[start:], base, out=corner, mode="wrap")
     return corners, weights
+
+
+def _monotone_1d(padded: np.ndarray, s: np.ndarray, buffers=None, out=None):
+    """Linear interpolation of padded 1D values at scaled coordinates s,
+    clamped to the two neighbours so no new extrema appear."""
+    (a, b), (w,) = _padded_gather(padded, (s,), buffers)
+    out = np.subtract(b, a, out=out)
+    out *= w
+    out += a
+    np.maximum(a, b, out=w)
+    np.minimum(a, b, out=a)
+    # np.clip(out, a, w) in two cheaper ufunc calls, equal bit for bit
+    np.maximum(out, a, out=out)
+    return np.minimum(out, w, out=out)
 
 
 def _interp_monotone_1d(values: np.ndarray, feet: np.ndarray,
                         x0: float, h: float) -> np.ndarray:
-    """Linear interpolation of values (nx[, nv]) at feet, clamped to the
-    local neighbor range so no new extrema appear."""
-    (a, b), (w,) = _padded_gather(values, (feet,), x0, h)
-    out = a + w * (b - a)
-    return np.clip(out, np.minimum(a, b), np.maximum(a, b))
+    """Monotone linear interpolation of values (nx[, nv]) at feet."""
+    return _monotone_1d(_pad(values, 1), (feet - x0) / h)
 
 
 def _interp_monotone_2d(values: np.ndarray, feet_x: np.ndarray, feet_y: np.ndarray,
                         x0: float, h: float) -> np.ndarray:
     """Bilinear interpolation of values (nx, ny, nv), clamped to the corner range."""
-    (c00, c01, c10, c11), (wx, wy) = _padded_gather(values, (feet_x, feet_y), x0, h)
+    (c00, c01, c10, c11), (wx, wy) = _padded_gather(
+        _pad(values, 2), ((feet_x - x0) / h, (feet_y - x0) / h))
     out = ((1 - wx) * (1 - wy) * c00 + wx * (1 - wy) * c10
            + (1 - wx) * wy * c01 + wx * wy * c11)
     lo = np.minimum(np.minimum(c00, c10), np.minimum(c01, c11))
@@ -245,8 +276,11 @@ def transport_substep(u: KineticField, t: float, dt: float,
     """
     k0 = path.node_index(t)
     k1 = path.node_index(t + dt)
-    nodes = path.values_at_nodes()
-    dB = nodes[k1] - nodes[k0]
+    if k1 == k0 + 1:  # one path step: the engine's increment, bit for bit
+        dB = path.increments[k0]
+    else:
+        nodes = path.values_at_nodes()
+        dB = nodes[k1] - nodes[k0]
     fp = np.asarray(spec.f_prime(u.vgrid.centers()), dtype=float)
     b_grid = spec.b_on_grid(u.sgrid)
     new = _transport_values(u.values, dB, dt, u.sgrid, fp, b_grid)
@@ -443,14 +477,23 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
 # Picard / mild-form fixed point
 
 def _single_cell_maxwellian(rho: np.ndarray, vgrid: VelocityGrid,
-                            w_lo: np.ndarray, w_hi: np.ndarray) -> np.ndarray:
-    """Cell average of chi_rho on one v-cell per row; w_lo/w_hi broadcast
-    against rho and hold the cell edges in dv units."""
-    r = rho / vgrid.dv
-    lo = np.minimum(r, 0.0)
-    hi = np.maximum(r, 0.0)
-    frac = np.clip(w_hi, lo, hi) - np.clip(w_lo, lo, hi)
-    return np.where(r >= 0, frac, -frac)
+                            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Cell average of chi_rho on one v-cell per row: row j of rho (n_v, ...)
+    holds the density seen by velocity cell j.
+
+    v = 0 is a cell edge, so with r = rho/dv and the cell edges w_lo < w_hi
+    in dv units a row with v > 0 is clip(r - w_lo, 0, 1) and a row with
+    v < 0 is clip(r - w_hi, -1, 0).  Equals maxwellian_cell_average(rho).T
+    on rows broadcast from one density, up to the sign of zero.
+    """
+    half = vgrid.n_v // 2
+    edges = vgrid.edges() / vgrid.dv
+    shift = np.concatenate([edges[1:half + 1], edges[half:-1]])  # w_hi, then w_lo
+    r = np.divide(rho, vgrid.dv, out=out)
+    r -= shift.reshape((-1,) + (1,) * (r.ndim - 1))
+    np.clip(r[:half], -1.0, 0.0, out=r[:half])
+    np.clip(r[half:], 0.0, 1.0, out=r[half:])
+    return r
 
 
 def contraction_bound(spec: ProblemSpec, window: float, epsilon: float,
@@ -467,8 +510,11 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
     Each iterate evaluates the Duhamel integral along inverse characteristics
     with exact exponential slab weights; windows restart with the converged
     kinetic state.  Raises ConfigurationError when the window violates the
-    contraction condition, reporting measured versus theoretical factors.
-    The returned trajectory carries an empty defect accumulator: this mode is
+    contraction condition, reporting measured versus theoretical factors,
+    and when the residual grows on three successive iterations of one window.
+    ``picard_residuals`` holds each window's L1 residual per iteration and
+    ``picard_ratios`` the quotients of successive residuals within a window,
+    all windows in order.  The returned trajectory carries an empty defect accumulator: this mode is
     a fidelity cross-check of the splitting engine, which owns the defect.
     """
     if spec.dim != 1:
@@ -485,79 +531,84 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
         )
     n_steps = config.n_steps
     dt, eps = config.dt, config.epsilon
-    dv = eng.vgrid.dv
-    x0 = -eng.sgrid.half_width + 0.5 * eng.sgrid.h
+    n, h, dv = config.n, eng.sgrid.h, eng.vgrid.dv
+    x0 = -eng.sgrid.half_width + 0.5 * h
     centers = eng.sgrid.axis_centers()
     nodes = path.values_at_nodes()
     bx = eng.b_grid[:, 0]
-    edges = eng.vgrid.edges() / dv
-    w_lo = edges[:-1][:, None]
-    w_hi = edges[1:][:, None]
-    l1_scale = eng.sgrid.cell_volume * dv
+    shape = (eng.vgrid.n_v, n)
+    buffers = _gather_buffers(shape, 1)
+    cell = np.empty(shape)
 
     u0_vals = maxwellian_cell_average(eng.rho0.values, eng.vgrid)
-    rho_hist = np.empty((n_steps + 1, config.n))
+    rho_hist = np.empty((n_steps + 1, n))
     rho_hist[0] = eng.rho0.values
     u_hist = [u0_vals]
-    ratios = []
+    ratios, residuals = [], []
 
     win_start = 0
     while win_start < n_steps:
         win_end = min(win_start + n_win, n_steps)
         m_count = win_end - win_start
-        # inverse-flow feet[m][l]: X^v_{t_m, t_l}(x_i), shape (nv, nx)
-        feet = [None] * (m_count + 1)
+        # scaled inverse-flow feet s[pair(m, l)] = (X^v_{t_m, t_l}(x_i) - x0)/h
+        # for 0 <= l < m, shape (nv, nx), with pair(m, l) = m(m - 1)/2 + l
+        s = np.empty((m_count * (m_count + 1) // 2,) + shape)
         for m in range(1, m_count + 1):
             k_m = win_start + m
             y = centers[None, :] - nodes[k_m, 0]
-            row = [None] * (m + 1)
-            row[m] = y + nodes[k_m, 0]
             for k in range(k_m, win_start, -1):
                 b_at = np.interp(y + nodes[k, 0], centers, bx, left=0.0, right=0.0)
                 y = y - dt * eng.fp[:, None] * b_at
-                row[k - 1 - win_start] = y + nodes[k - 1, 0]
-            feet[m] = row
-        u_start = u_hist[-1]
+                foot = s[m * (m - 1) // 2 + k - 1 - win_start]
+                np.add(y, nodes[k - 1, 0], out=foot)
+                foot -= x0
+                foot /= h
+        # exponential slab weights and the decayed initial state per m
+        weights = [[math.exp((l * dt + dt - m * dt) / eps) - math.exp((l * dt - m * dt) / eps)
+                    for l in range(m)] for m in range(m_count + 1)]
+        u_start = _pad(u_hist[-1], 1)
+        tails = [None] + [math.exp(-m * dt / eps) * _monotone_1d(u_start, s[m * (m - 1) // 2].T).T
+                          for m in range(1, m_count + 1)]
         rho_iter = np.repeat(rho_hist[win_start][None, :], m_count + 1, axis=0)
-        prev_delta = None
-        for it in range(config.picard_max_iters):
+        rho_pad = np.zeros((m_count + 1, n + 4))
+        win_ratios, win_residuals = [], []
+        for _ in range(config.picard_max_iters):
+            rho_pad[:, 2:-2] = rho_iter
             rho_new = np.empty_like(rho_iter)
             rho_new[0] = rho_hist[win_start]
             u_last = None
             delta = 0.0
             for m in range(1, m_count + 1):
-                t_m = m * dt
-                acc = np.zeros((eng.vgrid.n_v, config.n))
-                for l in range(m):
-                    s_l = l * dt
-                    wgt = math.exp((s_l + dt - t_m) / eps) - math.exp((s_l - t_m) / eps)
-                    rho_foot = _interp_monotone_1d(rho_iter[l], feet[m][l],
-                                                   x0, eng.sgrid.h)
-                    acc += wgt * _single_cell_maxwellian(rho_foot, eng.vgrid, w_lo, w_hi)
-                tail = math.exp(-t_m / eps)
-                u_init = _interp_monotone_1d(u_start, feet[m][0].T, x0, eng.sgrid.h)
-                acc += tail * u_init.T
+                acc = np.zeros(shape)
+                for l, wgt in enumerate(weights[m]):
+                    _monotone_1d(rho_pad[l], s[m * (m - 1) // 2 + l], buffers, out=cell)
+                    _single_cell_maxwellian(cell, eng.vgrid, out=cell)
+                    cell *= wgt
+                    acc += cell
+                acc += tails[m]
                 u_m = acc.T  # (nx, nv)
                 rho_new[m] = kinetic_density_values(u_m, dv)
                 np.clip(rho_new[m], eng.rho_bounds[0], eng.rho_bounds[1], out=rho_new[m])
                 if m == m_count:
                     u_last = u_m
                 delta = max(delta, float(np.sum(np.abs(rho_new[m] - rho_iter[m]))) * eng.sgrid.cell_volume)
-            if prev_delta is not None and prev_delta > 0:
-                ratios.append(delta / prev_delta)
-                if len(ratios) >= 3 and all(r > 1.0 for r in ratios[-3:]):
+            win_residuals.append(delta)
+            if len(win_residuals) > 1 and win_residuals[-2] > 0:
+                win_ratios.append(delta / win_residuals[-2])
+                if len(win_ratios) >= 3 and all(r > 1.0 for r in win_ratios[-3:]):
                     raise ConfigurationError(
-                        f"picard iteration diverges: measured factor {ratios[-1]:.3f} "
+                        f"picard iteration diverges: measured factor {win_ratios[-1]:.3f} "
                         f"vs contraction bound {bound:.3f}"
                     )
-            prev_delta = delta
             rho_iter = rho_new
             if delta < config.picard_tol:
                 break
         else:
             warnings.warn(
                 f"picard window [{win_start * dt:.4g}, {win_end * dt:.4g}] hit "
-                f"max_iters with residual {prev_delta:.3g}", stacklevel=2)
+                f"max_iters with residual {delta:.3g}", stacklevel=2)
+        ratios += win_ratios
+        residuals.append(win_residuals)
         rho_hist[win_start + 1: win_end + 1] = rho_iter[1:]
         u_hist.append(u_last)
         win_start = win_end
@@ -575,6 +626,7 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
         sgrid=eng.sgrid, vgrid=eng.vgrid, times=times, rho=snaps,
         u_l1=u_l1, defect=defect, final_u=final_u, path=path, spec=spec,
         config=config, mode="picard", picard_ratios=ratios, picard_bound=bound,
+        picard_residuals=residuals,
     )
 
 

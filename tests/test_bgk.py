@@ -2,20 +2,26 @@
 
 import math
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from stochbgk import bgk
 from stochbgk.bgk import (BGKConfig, _interp_monotone_1d, _interp_monotone_2d,
-                          accumulate_defect, epsilon_continuation,
-                          picard_solve, relax_substep, run_simulation, step,
-                          transport_substep)
+                          _single_cell_maxwellian, accumulate_defect,
+                          epsilon_continuation, picard_solve, relax_substep,
+                          run_simulation, step, transport_substep)
 from stochbgk.brownian import sample_path
 from stochbgk.errors import ConfigurationError, StructuralViolationError
 from stochbgk.fields import (DensityField, KineticField, density_from_kinetic,
-                             kinetic_l1, lift_density, maxwellian_cell_average)
+                             kinetic_density_values, kinetic_l1, lift_density,
+                             maxwellian_cell_average)
 from stochbgk.grids import SpatialGrid, VelocityGrid
-from stochbgk.problem import (burgers_const_1d, bump_data, linear_const_1d,
-                              plateau_data)
+from stochbgk.problem import (burgers_const_1d, burgers_tanh_1d, bump_data,
+                              linear_const_1d, plateau_data)
 
 
 def _lift(spec, n=64, L=3.0, n_v=16):
@@ -124,6 +130,94 @@ class TestKernels:
         out = _interp_monotone_2d(np.ones(shape), np.broadcast_to(fx, shape),
                                   np.broadcast_to(fy, shape), x0, h)
         assert np.all(out == 0.0)
+
+
+
+# scaled foot coordinates s = (foot - x0)/h: on cell centres, halfway
+# between them, anywhere inside, and 1 to 1000 cells beyond either end
+def _coords(n):
+    frac = st.sampled_from([0.0, 0.5, 0.25]) | st.floats(0.0, 1.0, exclude_max=True)
+    inside = st.builds(lambda i, f: i + f, st.integers(-1, n - 1), frac)
+    below = st.builds(lambda k, f: -k - f, st.integers(1, 1000), frac)
+    above = st.builds(lambda k, f: n - 1 + k + f, st.integers(1, 1000), frac)
+    return inside | below | above
+
+
+def _lerp_point(a, b, w):
+    return min(max(a + w * (b - a), min(a, b)), max(a, b))
+
+
+def _read(values, i, j=None):
+    n = values.shape[0]
+    if not 0 <= i < n or (j is not None and not 0 <= j < n):
+        return 0.0
+    return values[i] if j is None else values[i, j]
+
+
+class TestKernelProperties:
+    """The gather and the split single-cell Maxwellian against point-by-point
+    references."""
+
+    N, H, X0 = 8, 0.25, -0.875  # dyadic: feet on centres and edges are exact
+
+    def _feet(self, data, shape):
+        size = math.prod(shape)
+        s = data.draw(st.lists(_coords(self.N), min_size=size, max_size=size))
+        return self.X0 + np.array(s).reshape(shape) * self.H
+
+    @given(st.data())
+    def test_1d_kinetic_gather_matches_pointwise(self, data):
+        n, nv = self.N, 3
+        feet = self._feet(data, (n, nv))
+        values = np.random.default_rng(data.draw(st.integers(0, 99))).uniform(-1, 1, (n, nv))
+        out = _interp_monotone_1d(values, feet, self.X0, self.H)
+        s = (feet - self.X0) / self.H
+        for i in range(n):
+            for j in range(nv):
+                k = math.floor(s[i, j])
+                col = values[:, j]
+                assert out[i, j] == _lerp_point(_read(col, k), _read(col, k + 1), s[i, j] - k)
+
+    @given(st.data())
+    def test_1d_density_gather_matches_pointwise(self, data):
+        n = self.N
+        feet = self._feet(data, (data.draw(st.integers(1, 40)),))
+        values = np.random.default_rng(data.draw(st.integers(0, 99))).uniform(-1, 1, n)
+        out = _interp_monotone_1d(values, feet, self.X0, self.H)
+        s = (feet - self.X0) / self.H
+        for p, sp in enumerate(s):
+            k = math.floor(sp)
+            assert out[p] == _lerp_point(_read(values, k), _read(values, k + 1), sp - k)
+
+    @given(st.data())
+    def test_2d_gather_matches_pointwise(self, data):
+        n, nv = self.N, 2
+        fx, fy = self._feet(data, (n, n, nv)), self._feet(data, (n, n, nv))
+        values = np.random.default_rng(data.draw(st.integers(0, 99))).uniform(-1, 1, (n, n, nv))
+        out = _interp_monotone_2d(values, fx, fy, self.X0, self.H)
+        sx, sy = (fx - self.X0) / self.H, (fy - self.X0) / self.H
+        for idx in np.ndindex(out.shape):
+            i, j = math.floor(sx[idx]), math.floor(sy[idx])
+            wx, wy = sx[idx] - i, sy[idx] - j
+            v = values[..., idx[2]]
+            c00, c01 = _read(v, i, j), _read(v, i, j + 1)
+            c10, c11 = _read(v, i + 1, j), _read(v, i + 1, j + 1)
+            expected = ((1 - wx) * (1 - wy) * c00 + wx * (1 - wy) * c10
+                        + (1 - wx) * wy * c01 + wx * wy * c11)
+            lo, hi = min(c00, c01, c10, c11), max(c00, c01, c10, c11)
+            assert out[idx] == min(max(expected, lo), hi)
+
+    @given(st.sampled_from([4, 8, 16, 32]), st.sampled_from([0.3, 1.0, 2.5]), st.data())
+    def test_split_single_cell_maxwellian_is_the_lift(self, n_v, bound, data):
+        vg = VelocityGrid(bound=bound, n_v=n_v)
+        N = vg.bound
+        special = st.sampled_from([0.0, -0.0, N, -N]) | st.builds(
+            lambda k: k * vg.dv, st.integers(-n_v // 2, n_v // 2))
+        rho = np.array(data.draw(st.lists(special | st.floats(-N, N), min_size=1,
+                                          max_size=12)))
+        rows = np.broadcast_to(rho, (n_v, rho.size)).copy()
+        assert np.array_equal(_single_cell_maxwellian(rows, vg),
+                              maxwellian_cell_average(rho, vg).T)
 
 
 class TestRelax:
@@ -265,6 +359,23 @@ class TestRun:
                          min(0.0, rho_0.min()), max(0.0, rho_0.max()))
         assert np.array_equal(frozen, traj.rho[-1])
 
+    @pytest.mark.parametrize("rho0", [
+        plateau_data(1.0, -1.0, 0.0),
+        lambda g: 0.8 * np.sin(np.pi * g.axis_centers() / 1.5),
+    ], ids=["plateau", "sine"])
+    def test_chained_steps_are_the_engine(self, rho0):
+        # each step() takes the path's own increment, as run_simulation does
+        spec = burgers_const_1d(rho0, c=1.0)
+        dt = 0.01
+        cfg = BGKConfig(epsilon=0.02, dt=dt, horizon=40 * dt, half_width=3.0,
+                        n=128, n_v=16, v_bound=1.0)
+        path = sample_path(3, dt, cfg.horizon, dim=1)
+        traj = run_simulation(spec, cfg, path)
+        u = lift_density(traj.initial(), traj.vgrid)
+        for k in range(cfg.n_steps):
+            u = step(u, k * dt, cfg, path, spec)
+        assert u.values.tobytes() == traj.final_u.values.tobytes()
+
     def test_max_principle_exact_over_run(self):
         traj, _, _ = self._run()
         assert np.max(np.abs(traj.rho)) <= np.max(np.abs(traj.rho[0]))
@@ -371,6 +482,81 @@ class TestEpsilonContinuation:
             epsilon_continuation(spec, cfg, path, [2 * dt, dt / 4])
 
 
+
+def _reference_picard(spec, cfg, path):
+    """The Picard iteration as first written: one interpolation and one
+    single-cell Maxwellian per (m, l) pair and iteration, on feet rebuilt
+    from nested lists, with a one-cell zero pad.  Returns the snapshot
+    densities, the final kinetic values and the contraction ratios."""
+    grid = SpatialGrid(dim=1, half_width=cfg.half_width, n=cfg.n)
+    rho0 = spec.initial_field(grid).values
+    vg = VelocityGrid.for_density_bound(
+        cfg.v_bound if cfg.v_bound is not None else np.max(np.abs(rho0)), cfg.n_v)
+    h, dt, eps, dv = grid.h, cfg.dt, cfg.epsilon, vg.dv
+    x0, centers = -cfg.half_width + 0.5 * h, grid.axis_centers()
+    nodes, bx = path.values_at_nodes(), spec.b_on_grid(grid)[:, 0]
+    fp = np.asarray(spec.f_prime(vg.centers()), dtype=float)
+    clip = (min(0.0, rho0.min()), max(0.0, rho0.max()))
+    edges = vg.edges() / dv
+    w_lo, w_hi = edges[:-1][:, None], edges[1:][:, None]
+
+    def interp(values, feet):
+        n = values.shape[0]
+        padded = np.zeros((n + 2,) + values.shape[1:])
+        padded[1:-1] = values
+        s = (feet - x0) / h
+        i0 = np.floor(s).astype(np.int64)
+        lo, hi = np.clip(i0, -1, n) + 1, np.clip(i0 + 1, -1, n) + 1
+        cols = () if values.ndim == 1 else (np.arange(values.shape[1]),)
+        a, b = padded[(lo,) + cols], padded[(hi,) + cols]
+        out = a + (s - i0) * (b - a)
+        return np.clip(out, np.minimum(a, b), np.maximum(a, b))
+
+    def cell_maxwellian(rho):
+        r = rho / dv
+        lo, hi = np.minimum(r, 0.0), np.maximum(r, 0.0)
+        frac = np.clip(w_hi, lo, hi) - np.clip(w_lo, lo, hi)
+        return np.where(r >= 0, frac, -frac)
+
+    n_steps, n_win = cfg.n_steps, int(round(cfg.window / dt))
+    rho_hist = np.empty((n_steps + 1, cfg.n))
+    rho_hist[0] = rho0
+    u_start, ratios = maxwellian_cell_average(rho0, vg), []
+    for win_start in range(0, n_steps, n_win):
+        m_count = min(win_start + n_win, n_steps) - win_start
+        feet = [None] * (m_count + 1)
+        for m in range(1, m_count + 1):
+            y, row = centers[None, :] - nodes[win_start + m, 0], [None] * m
+            for k in range(win_start + m, win_start, -1):
+                b_at = np.interp(y + nodes[k, 0], centers, bx, left=0.0, right=0.0)
+                y = y - dt * fp[:, None] * b_at
+                row[k - 1 - win_start] = y + nodes[k - 1, 0]
+            feet[m] = row
+        rho_iter = np.repeat(rho_hist[win_start][None, :], m_count + 1, axis=0)
+        prev = None
+        for _ in range(cfg.picard_max_iters):
+            rho_new = rho_iter.copy()
+            delta = 0.0
+            for m in range(1, m_count + 1):
+                acc = np.zeros((vg.n_v, cfg.n))
+                for l in range(m):
+                    wgt = math.exp((l * dt + dt - m * dt) / eps) - math.exp((l * dt - m * dt) / eps)
+                    acc += wgt * cell_maxwellian(interp(rho_iter[l], feet[m][l]))
+                acc += math.exp(-m * dt / eps) * interp(u_start, feet[m][0].T).T
+                u_m = acc.T
+                rho_new[m] = np.clip(kinetic_density_values(u_m, dv), *clip)
+                delta = max(delta, float(np.sum(np.abs(rho_new[m] - rho_iter[m]))) * h)
+            if prev:
+                ratios.append(delta / prev)
+            prev, rho_iter = delta, rho_new
+            if delta < cfg.picard_tol:
+                break
+        rho_hist[win_start + 1: win_start + m_count + 1] = rho_iter[1:]
+        u_start = u_m
+    snaps = sorted(set(range(0, n_steps + 1, cfg.snapshot_stride)) | {n_steps})
+    return rho_hist[snaps], u_start, np.asarray(ratios)
+
+
 class TestPicard:
     def test_transport_limit_large_epsilon(self):
         # eps >> window: relaxation weight ~ 0, one sweep is pure transport
@@ -409,6 +595,70 @@ class TestPicard:
         b = run_simulation(spec, cfg, path)
         gap = float(np.sum(np.abs(a.rho[-1] - b.rho[-1])) * a.sgrid.h)
         assert gap <= 0.01
+
+    @pytest.mark.parametrize("spec, window, n, n_v, half_width, seed", [
+        (burgers_const_1d(lambda g: 0.8 * np.sin(np.pi * g.axis_centers() / 1.5)
+                          * (np.abs(g.axis_centers()) <= 1.5), c=1.0), 0.1, 128, 16, 3.0, 4),
+        (burgers_const_1d(plateau_data(1.0, -1.0, 0.0), c=1.0), 0.05, 128, 16, 3.0, 8),
+        (burgers_tanh_1d(bump_data(0.0, 1.5, 0.9), amplitude=1.0, width=0.5),
+         0.05, 128, 16, 3.0, 5),
+        (linear_const_1d(bump_data(1.4, 1.0, 0.9), c=8.0), 0.1, 64, 8, 2.0, 11),
+    ], ids=["sign-changing", "two-windows", "x-dependent-b", "feet-leave-box"])
+    def test_matches_reference_loop_bit_for_bit(self, spec, window, n, n_v,
+                                                half_width, seed):
+        T = 0.1
+        dt = T / 16
+        cfg = BGKConfig(epsilon=0.05, dt=dt, horizon=T, half_width=half_width,
+                        n=n, n_v=n_v, window=window, picard_tol=1e-10,
+                        snapshot_stride=4)
+        path = sample_path(seed, dt, T, dim=1)
+        traj = picard_solve(spec, cfg, path)
+        rho, final_u, ratios = _reference_picard(spec, cfg, path)
+        assert traj.rho.tobytes() == rho.tobytes()
+        assert np.asarray(traj.final_u.values).tobytes() == final_u.tobytes()
+        assert np.asarray(traj.picard_ratios).tobytes() == ratios.tobytes()
+        # one residual history per window; the ratios are its quotients
+        assert len(traj.picard_residuals) == round(T / window)
+        assert traj.picard_ratios == [b / a for r in traj.picard_residuals
+                                      for a, b in zip(r, r[1:])]
+        assert all(r[-1] < cfg.picard_tol for r in traj.picard_residuals)
+
+    @staticmethod
+    def _lifted_picard(monkeypatch, lifts, max_iters):
+        """Two windows of four steps; every density of iteration i (counted
+        over both windows) is lifted by lifts[i], which makes the residuals
+        grow where the lifts grow faster than the iteration contracts."""
+        real = bgk.kinetic_density_values
+        lifts = iter(lifts)
+        state = {"calls": 0, "lift": 0.0}
+
+        def lifted(values, dv):
+            if state["calls"] % 4 == 0:  # called once per (iteration, m)
+                state["lift"] = next(lifts, state["lift"])
+            state["calls"] += 1
+            return real(values, dv) + state["lift"]
+
+        monkeypatch.setattr(bgk, "kinetic_density_values", lifted)
+        spec = burgers_const_1d(bump_data(-0.5, 1.0, 0.4), c=1.0)
+        T = 0.1
+        cfg = BGKConfig(epsilon=0.05, dt=T / 8, horizon=T, half_width=3.0, n=64,
+                        n_v=8, v_bound=1.0, window=T / 2, picard_tol=1e-14,
+                        picard_max_iters=max_iters)
+        return picard_solve(spec, cfg, sample_path(2, cfg.dt, T, dim=1))
+
+    def test_divergence_guard_reads_one_window(self, monkeypatch):
+        # window 1 ends on two growing residuals and window 2 starts with a
+        # third: three in a row across the boundary, which must not abort
+        with pytest.warns(UserWarning, match="max_iters"):
+            traj = self._lifted_picard(
+                monkeypatch, [0.0, 0.0, 0.01, 0.03, 0.03, 0.09], max_iters=4)
+        grows = [[b > a for a, b in zip(r, r[1:])] for r in traj.picard_residuals]
+        assert grows == [[False, True, True], [True, False, False]]
+        assert len(traj.picard_ratios) == 6
+
+    def test_divergence_guard_aborts_within_a_window(self, monkeypatch):
+        with pytest.raises(ConfigurationError, match="diverges"):
+            self._lifted_picard(monkeypatch, [0.0, 0.0, 0.01, 0.03, 0.07], max_iters=5)
 
     def test_max_principle_in_picard_mode(self):
         spec = burgers_const_1d(plateau_data(1.0, -1.0, 0.0), c=1.0)
