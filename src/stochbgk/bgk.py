@@ -550,16 +550,16 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
     while win_start < n_steps:
         win_end = min(win_start + n_win, n_steps)
         m_count = win_end - win_start
-        # scaled inverse-flow feet s[pair(m, l)] = (X^v_{t_m, t_l}(x_i) - x0)/h
-        # for 0 <= l < m, shape (nv, nx), with pair(m, l) = m(m - 1)/2 + l
-        s = np.empty((m_count * (m_count + 1) // 2,) + shape)
+        # scaled inverse-flow feet s[m][l] = (X^v_{t_m, t_l}(x_i) - x0)/h for
+        # 0 <= l < m, shape (nv, nx); one block per m
+        s = [np.empty((m,) + shape) for m in range(m_count + 1)]
         for m in range(1, m_count + 1):
             k_m = win_start + m
             y = centers[None, :] - nodes[k_m, 0]
             for k in range(k_m, win_start, -1):
                 b_at = np.interp(y + nodes[k, 0], centers, bx, left=0.0, right=0.0)
                 y = y - dt * eng.fp[:, None] * b_at
-                foot = s[m * (m - 1) // 2 + k - 1 - win_start]
+                foot = s[m][k - 1 - win_start]
                 np.add(y, nodes[k - 1, 0], out=foot)
                 foot -= x0
                 foot /= h
@@ -567,7 +567,7 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
         weights = [[math.exp((l * dt + dt - m * dt) / eps) - math.exp((l * dt - m * dt) / eps)
                     for l in range(m)] for m in range(m_count + 1)]
         u_start = _pad(u_hist[-1], 1)
-        tails = [None] + [math.exp(-m * dt / eps) * _monotone_1d(u_start, s[m * (m - 1) // 2].T).T
+        tails = [None] + [math.exp(-m * dt / eps) * _monotone_1d(u_start, s[m][0].T).T
                           for m in range(1, m_count + 1)]
         rho_iter = np.repeat(rho_hist[win_start][None, :], m_count + 1, axis=0)
         rho_pad = np.zeros((m_count + 1, n + 4))
@@ -581,7 +581,7 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
             for m in range(1, m_count + 1):
                 acc = np.zeros(shape)
                 for l, wgt in enumerate(weights[m]):
-                    _monotone_1d(rho_pad[l], s[m * (m - 1) // 2 + l], buffers, out=cell)
+                    _monotone_1d(rho_pad[l], s[m][l], buffers, out=cell)
                     _single_cell_maxwellian(cell, eng.vgrid, out=cell)
                     cell *= wgt
                     acc += cell

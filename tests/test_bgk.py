@@ -2,8 +2,6 @@
 
 import math
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -130,7 +128,6 @@ class TestKernels:
         out = _interp_monotone_2d(np.ones(shape), np.broadcast_to(fx, shape),
                                   np.broadcast_to(fy, shape), x0, h)
         assert np.all(out == 0.0)
-
 
 
 # scaled foot coordinates s = (foot - x0)/h: on cell centres, halfway
