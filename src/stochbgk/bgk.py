@@ -170,13 +170,7 @@ def _pad(values: np.ndarray, d: int) -> np.ndarray:
     return padded
 
 
-def _gather_buffers(shape, d: int):
-    """Preallocated (corners, weights, base index) of _padded_gather at shape."""
-    return ([np.empty(shape) for _ in range(2 ** d)],
-            [np.empty(shape) for _ in range(d)], np.empty(shape, dtype=np.intp))
-
-
-def _padded_gather(padded: np.ndarray, coords, buffers=None):
+def _padded_gather(padded: np.ndarray, coords):
     """Neighbour values and weights of monotone interpolation.
 
     ``padded`` comes from _pad: d spatial axes of n + 4 cells, optionally
@@ -186,48 +180,29 @@ def _padded_gather(padded: np.ndarray, coords, buffers=None):
     clip(floor(s), -2, n) + 2 and its upper neighbour is base + stride, so
     feet outside the box read the zero cells.  Returns the 2^d neighbour
     arrays, ordered by offset as in itertools.product((0, 1), repeat=d), and
-    the d fractional weights s - floor(s); ``buffers`` (from _gather_buffers)
-    receives them.
+    the d fractional weights s - floor(s).
     """
-    d = len(coords)
     n = padded.shape[0] - 4
-    if buffers is None:
-        buffers = _gather_buffers(np.broadcast_shapes(*(np.shape(s) for s in coords)), d)
-    corners, weights, base = buffers
-    steps = [stride // padded.itemsize for stride in padded.strides[:d]]
-    floor = corners[0]  # scratch until the corners are read
-    for axis, (s, w, step) in enumerate(zip(coords, weights, steps)):
-        np.floor(s, out=floor)
-        np.subtract(s, floor, out=w)
-        np.clip(floor, -2, n, out=floor)
-        floor += 2
-        if axis == 0:
-            np.multiply(floor, step, out=base, casting="unsafe")
-        else:
-            floor *= step
-            np.add(base, floor, out=base, casting="unsafe")
-    if padded.ndim > d:
-        base += np.arange(padded.shape[-1])
+    # flat index steps of padded.ravel(), which is in C order whatever the strides
+    steps = [math.prod(padded.shape[axis + 1:]) for axis in range(len(coords))]
+    base, weights = 0, []
+    for s, step in zip(coords, steps):
+        floor = np.floor(s)
+        weights.append(s - floor)
+        base = base + (np.clip(floor, -2, n) + 2).astype(np.intp) * step
+    if padded.ndim > len(coords):
+        base = base + np.arange(padded.shape[-1])
     flat = padded.ravel()
-    for corner, offset in zip(corners, itertools.product((0, 1), repeat=d)):
-        start = sum(o * step for o, step in zip(offset, steps))
-        # every index is in range; "wrap" only avoids the buffered out= of "raise"
-        np.take(flat[start:], base, out=corner, mode="wrap")
+    corners = [flat[sum(o * step for o, step in zip(offset, steps)):].take(base)
+               for offset in itertools.product((0, 1), repeat=len(coords))]
     return corners, weights
 
 
-def _monotone_1d(padded: np.ndarray, s: np.ndarray, buffers=None, out=None):
+def _monotone_1d(padded: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Linear interpolation of padded 1D values at scaled coordinates s,
     clamped to the two neighbours so no new extrema appear."""
-    (a, b), (w,) = _padded_gather(padded, (s,), buffers)
-    out = np.subtract(b, a, out=out)
-    out *= w
-    out += a
-    np.maximum(a, b, out=w)
-    np.minimum(a, b, out=a)
-    # np.clip(out, a, w) in two cheaper ufunc calls, equal bit for bit
-    np.maximum(out, a, out=out)
-    return np.minimum(out, w, out=out)
+    (a, b), (w,) = _padded_gather(padded, (s,))
+    return np.clip(a + w * (b - a), np.minimum(a, b), np.maximum(a, b))
 
 
 def _interp_monotone_1d(values: np.ndarray, feet: np.ndarray,
@@ -274,13 +249,8 @@ def transport_substep(u: KineticField, t: float, dt: float,
     Values are constant along characteristics between relaxation events;
     feet falling outside the padded box read zero (compact support).
     """
-    k0 = path.node_index(t)
-    k1 = path.node_index(t + dt)
-    if k1 == k0 + 1:  # one path step: the engine's increment, bit for bit
-        dB = path.increments[k0]
-    else:
-        nodes = path.values_at_nodes()
-        dB = nodes[k1] - nodes[k0]
+    # the sum of the slab's increments: on one path step, the engine's dB bit for bit
+    dB = path.increments[path.node_index(t):path.node_index(t + dt)].sum(axis=0)
     fp = np.asarray(spec.f_prime(u.vgrid.centers()), dtype=float)
     b_grid = spec.b_on_grid(u.sgrid)
     new = _transport_values(u.values, dB, dt, u.sgrid, fp, b_grid)
@@ -476,8 +446,7 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
 # ---------------------------------------------------------------------------
 # Picard / mild-form fixed point
 
-def _single_cell_maxwellian(rho: np.ndarray, vgrid: VelocityGrid,
-                            out: Optional[np.ndarray] = None) -> np.ndarray:
+def _single_cell_maxwellian(rho: np.ndarray, vgrid: VelocityGrid) -> np.ndarray:
     """Cell average of chi_rho on one v-cell per row: row j of rho (n_v, ...)
     holds the density seen by velocity cell j.
 
@@ -489,7 +458,7 @@ def _single_cell_maxwellian(rho: np.ndarray, vgrid: VelocityGrid,
     half = vgrid.n_v // 2
     edges = vgrid.edges() / vgrid.dv
     shift = np.concatenate([edges[1:half + 1], edges[half:-1]])  # w_hi, then w_lo
-    r = np.divide(rho, vgrid.dv, out=out)
+    r = rho / vgrid.dv
     r -= shift.reshape((-1,) + (1,) * (r.ndim - 1))
     np.clip(r[:half], -1.0, 0.0, out=r[:half])
     np.clip(r[half:], 0.0, 1.0, out=r[half:])
@@ -537,8 +506,6 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
     nodes = path.values_at_nodes()
     bx = eng.b_grid[:, 0]
     shape = (eng.vgrid.n_v, n)
-    buffers = _gather_buffers(shape, 1)
-    cell = np.empty(shape)
 
     u0_vals = maxwellian_cell_average(eng.rho0.values, eng.vgrid)
     rho_hist = np.empty((n_steps + 1, n))
@@ -581,8 +548,8 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
             for m in range(1, m_count + 1):
                 acc = np.zeros(shape)
                 for l, wgt in enumerate(weights[m]):
-                    _monotone_1d(rho_pad[l], s[m][l], buffers, out=cell)
-                    _single_cell_maxwellian(cell, eng.vgrid, out=cell)
+                    cell = _single_cell_maxwellian(_monotone_1d(rho_pad[l], s[m][l]),
+                                                   eng.vgrid)
                     cell *= wgt
                     acc += cell
                 acc += tails[m]

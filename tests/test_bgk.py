@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from stochbgk import bgk
 from stochbgk.bgk import (BGKConfig, _interp_monotone_1d, _interp_monotone_2d,
-                          _single_cell_maxwellian, accumulate_defect,
-                          epsilon_continuation, picard_solve, relax_substep,
-                          run_simulation, step, transport_substep)
+                          _pad, _padded_gather, _single_cell_maxwellian,
+                          accumulate_defect, epsilon_continuation, picard_solve,
+                          relax_substep, run_simulation, step, transport_substep)
 from stochbgk.brownian import sample_path
 from stochbgk.errors import ConfigurationError, StructuralViolationError
 from stochbgk.fields import (DensityField, KineticField, density_from_kinetic,
@@ -128,6 +128,17 @@ class TestKernels:
         out = _interp_monotone_2d(np.ones(shape), np.broadcast_to(fx, shape),
                                   np.broadcast_to(fy, shape), x0, h)
         assert np.all(out == 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_gather_ignores_memory_layout(self, d):
+        n, nv = 8, 3
+        rng = np.random.default_rng(5)
+        padded = _pad(rng.uniform(-1, 1, (n,) * d + (nv,)), d)
+        coords = tuple(rng.uniform(-4, n + 3, (n,) * d + (nv,)) for _ in range(d))
+        corners, weights = _padded_gather(padded, coords)
+        f_corners, f_weights = _padded_gather(np.asfortranarray(padded), coords)
+        assert all(np.array_equal(a, b) for a, b in zip(corners, f_corners))
+        assert all(np.array_equal(a, b) for a, b in zip(weights, f_weights))
 
 
 # scaled foot coordinates s = (foot - x0)/h: on cell centres, halfway
