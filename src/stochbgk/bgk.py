@@ -175,7 +175,8 @@ def _padded_gather(padded: np.ndarray, coords):
 
     ``padded`` comes from _pad: d spatial axes of n + 4 cells, optionally
     followed by the v-axis, which must then be the last axis of every
-    coordinate array too.  ``coords`` holds one array per spatial axis of
+    coordinate array too, of the same length or of length 1 (one foot
+    shared by every v-cell).  ``coords`` holds one array per spatial axis of
     scaled foot coordinates s = (foot - x0)/h.  Each axis gets one base index
     clip(floor(s), -2, n) + 2 and its upper neighbour is base + stride, so
     feet outside the box read the zero cells.  Returns the 2^d neighbour
@@ -229,8 +230,15 @@ def _interp_monotone_2d(values: np.ndarray, feet_x: np.ndarray, feet_y: np.ndarr
 def _transport_values(values: np.ndarray, dB: np.ndarray, dt: float,
                       sgrid: SpatialGrid, fp: np.ndarray,
                       b_grid: np.ndarray) -> np.ndarray:
-    """Semi-Lagrangian update of raw kinetic values (v-axis last)."""
+    """Semi-Lagrangian update of raw kinetic values (v-axis last).
+
+    When f' is constant over the velocity grid (a linear flux) every v-cell
+    has the same foot, so the feet and weights are built with a v-axis of
+    length 1 and the gather broadcasts them over the values' v-axis.
+    """
     x0 = -sgrid.half_width + 0.5 * sgrid.h
+    if np.all(fp == fp[0]):
+        fp = fp[:1]
     if sgrid.dim == 1:
         x = sgrid.axis_centers()[:, None]
         feet = x - dt * fp[None, :] * b_grid[:, 0][:, None] - dB[0]

@@ -20,8 +20,8 @@ from .audit import (AuditReport, check_bv_nonincrease, check_max_principle,
                     run_standard_audit)
 from .bgk import run_simulation
 from .brownian import levy_modulus_statistic, sample_path, sample_paths
-from .config import (build_bgk_config, build_spec, load_config,
-                     validate_run_config, _opt)
+from .config import (build_bgk_config, build_counterexample_params, build_spec,
+                     load_config, validate_run_config, _opt)
 from .counterexample import (bv_growth_experiment, cusp_data,
                              smooth_control_data, stochastic_counterpart)
 from .csvio import (check_manifest, read_trajectory_csv, write_audit_csv,
@@ -118,26 +118,21 @@ def cmd_convergence(cfg, seed, out) -> int:
 
 
 def cmd_counterexample(cfg, seed, out) -> int:
-    t = float(_opt(cfg, "counterexample.t", 1.0))
-    resolutions = [int(n) for n in
-                   _opt(cfg, "counterexample.resolutions", [128, 256, 512, 1024])]
+    params = build_counterexample_params(cfg)
+    t = params.t
     rows = []
     for label, data in (("cusp", cusp_data()), ("smooth", smooth_control_data())):
-        for n, h, bv_t, bv_0 in bv_growth_experiment(data, t, resolutions):
+        for n, h, bv_t, bv_0 in bv_growth_experiment(data, t, params.resolutions):
             rows.append((label, n, h, t, bv_t, bv_0))
             print(f"{label:7s} n={n:5d} BV(t)={bv_t:.5f} BV(0)={bv_0:.5f}")
     files = [os.path.join(out, "deterministic_bv.csv")]
     write_rows(files[0], ["experiment", "n", "h", "t", "bv", "bv_initial"], rows)
 
-    sres = _opt(cfg, "counterexample.stochastic_resolutions", None)
     srows = []
-    if sres:
-        n_paths = int(_opt(cfg, "counterexample.paths", 16))
-        workers = int(_opt(cfg, "monte_carlo.workers", 1))
-        n_v = int(_opt(cfg, "counterexample.n_v", 8))
+    if params.stochastic_resolutions:
         for n, h, mean_bv, std_bv, m in stochastic_counterpart(
-                cusp_data(), t, [int(n) for n in sres], n_paths, seed,
-                n_v=n_v, workers=workers):
+                cusp_data(), t, params.stochastic_resolutions, params.paths, seed,
+                n_v=params.n_v, workers=params.workers):
             srows.append(("stochastic", n, h, t, mean_bv, std_bv, m))
             print(f"stochastic n={n:5d} mean BV={mean_bv:.5f} std={std_bv:.5f} M={m}")
         sfile = os.path.join(out, "stochastic_bv.csv")

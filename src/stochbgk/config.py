@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
+
 from .bgk import BGKConfig
 from .counterexample import cusp_data, cusp_flow_spec, smooth_control_data
 from .errors import ConfigurationError
@@ -20,29 +22,58 @@ from .problem import (ProblemSpec, bump_data, burgers_flux, constant_data,
 EXPERIMENTS = ("simulate", "convergence", "counterexample", "audit", "paths")
 
 
-def _req(cfg: dict, path: str, typ, where: str):
+_MISSING = object()
+
+
+def _lookup(cfg: dict, path: str):
     node = cfg
     for part in path.split("."):
         if not isinstance(node, dict) or part not in node:
-            raise ConfigurationError(f"{where}: missing required field '{path}'")
+            return _MISSING
         node = node[part]
-    if typ is float and isinstance(node, int):
-        node = float(node)
-    if not isinstance(node, typ):
+    return node
+
+
+def _typed(node, path: str, typ, where: str):
+    """node checked against typ (a type or tuple of types); an int passes
+    where float is accepted and comes back as a float, a bool passes only
+    where bool is named."""
+    types = typ if isinstance(typ, tuple) else (typ,)
+    if float in types and isinstance(node, int) and not isinstance(node, bool):
+        return float(node)
+    if not isinstance(node, types) or (isinstance(node, bool) and bool not in types):
         raise ConfigurationError(
             f"{where}: field '{path}' has type {type(node).__name__}, "
-            f"expected {typ.__name__ if not isinstance(typ, tuple) else typ}"
+            f"expected {' or '.join(t.__name__ for t in types)}"
         )
     return node
 
 
+def _req(cfg: dict, path: str, typ, where: str):
+    node = _lookup(cfg, path)
+    if node is _MISSING:
+        raise ConfigurationError(f"{where}: missing required field '{path}'")
+    return _typed(node, path, typ, where)
+
+
+def _get(cfg: dict, path: str, typ, default):
+    """Optional typed field: default when absent or null."""
+    node = _lookup(cfg, path)
+    if node is _MISSING or node is None:
+        return default
+    return _typed(node, path, typ, "config")
+
+
 def _opt(cfg: dict, path: str, default):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return default
-        node = node[part]
-    return node
+    node = _lookup(cfg, path)
+    return default if node is _MISSING else node
+
+
+def _at_least(value, path: str, low):
+    """value, if finite and >= low."""
+    if not low <= value < math.inf:
+        raise ConfigurationError(f"config: field '{path}' is {value}, must be finite and >= {low}")
+    return value
 
 
 def load_config(fname) -> dict:
@@ -138,19 +169,58 @@ def build_spec(cfg: dict) -> ProblemSpec:
 
 def build_bgk_config(cfg: dict) -> BGKConfig:
     return BGKConfig(
-        epsilon=float(_req(cfg, "bgk.epsilon", (int, float), "config")),
-        dt=float(_req(cfg, "bgk.dt", (int, float), "config")),
-        horizon=float(_req(cfg, "bgk.horizon", (int, float), "config")),
-        half_width=float(_req(cfg, "grid.half_width", (int, float), "config")),
-        n=int(_req(cfg, "grid.n", int, "config")),
-        n_v=int(_opt(cfg, "grid.n_v", 32)),
-        v_bound=_opt(cfg, "grid.v_bound", None),
-        snapshot_stride=int(_opt(cfg, "bgk.snapshot_stride", 1)),
-        store_kinetic=bool(_opt(cfg, "bgk.store_kinetic", False)),
-        store_defect_field=bool(_opt(cfg, "bgk.store_defect_field", False)),
-        window=_opt(cfg, "bgk.window", None),
-        picard_tol=float(_opt(cfg, "bgk.picard_tol", 1e-8)),
-        picard_max_iters=int(_opt(cfg, "bgk.picard_max_iters", 200)),
+        epsilon=_req(cfg, "bgk.epsilon", float, "config"),
+        dt=_req(cfg, "bgk.dt", float, "config"),
+        horizon=_req(cfg, "bgk.horizon", float, "config"),
+        half_width=_req(cfg, "grid.half_width", float, "config"),
+        n=_req(cfg, "grid.n", int, "config"),
+        n_v=_get(cfg, "grid.n_v", int, 32),
+        v_bound=_get(cfg, "grid.v_bound", float, None),
+        snapshot_stride=_get(cfg, "bgk.snapshot_stride", int, 1),
+        store_kinetic=_get(cfg, "bgk.store_kinetic", bool, False),
+        store_defect_field=_get(cfg, "bgk.store_defect_field", bool, False),
+        window=_get(cfg, "bgk.window", float, None),
+        picard_tol=_get(cfg, "bgk.picard_tol", float, 1e-8),
+        picard_max_iters=_get(cfg, "bgk.picard_max_iters", int, 200),
+    )
+
+
+@dataclass(frozen=True)
+class CounterexampleParams:
+    """What `stochbgk counterexample` runs: the closed-form BV ladder at time
+    t, and the Monte Carlo when stochastic_resolutions is non-empty."""
+
+    t: float
+    resolutions: tuple
+    stochastic_resolutions: tuple
+    paths: int
+    n_v: int
+    workers: int
+
+
+def _resolutions(cfg: dict, path: str, default) -> tuple:
+    ns = _get(cfg, path, list, default)
+    for i, n in enumerate(ns):
+        _at_least(_typed(n, f"{path}[{i}]", int, "config"), f"{path}[{i}]", 4)
+    return tuple(ns)
+
+
+def build_counterexample_params(cfg: dict) -> CounterexampleParams:
+    t = _at_least(_get(cfg, "counterexample.t", float, 1.0), "counterexample.t", 0.0)
+    sres = _resolutions(cfg, "counterexample.stochastic_resolutions", [])
+    if sres and t == 0:
+        raise ConfigurationError(
+            "config: field 'counterexample.t' must be > 0 for the stochastic runs")
+    n_v = _at_least(_get(cfg, "counterexample.n_v", int, 8), "counterexample.n_v", 4)
+    if n_v % 2:
+        raise ConfigurationError(f"config: field 'counterexample.n_v' is {n_v}, must be even")
+    return CounterexampleParams(
+        t=t,
+        resolutions=_resolutions(cfg, "counterexample.resolutions", [128, 256, 512, 1024]),
+        stochastic_resolutions=sres,
+        paths=_at_least(_get(cfg, "counterexample.paths", int, 16), "counterexample.paths", 1),
+        n_v=n_v,
+        workers=_at_least(_get(cfg, "monte_carlo.workers", int, 1), "monte_carlo.workers", 1),
     )
 
 
@@ -162,9 +232,10 @@ def validate_run_config(cfg: dict) -> dict:
             f"experiment: '{exp}' is not one of {', '.join(EXPERIMENTS)}"
         )
     resolved = json.loads(json.dumps(cfg))  # deep copy, JSON-clean
-    resolved.setdefault("monte_carlo", {})
+    resolved["monte_carlo"] = _get(resolved, "monte_carlo", dict, {})
     resolved["monte_carlo"].setdefault("master_seed", 0)
     resolved["monte_carlo"].setdefault("workers", 1)
+    _req(resolved, "monte_carlo.master_seed", int, "config")
     if exp in ("simulate", "convergence"):
         build_spec(resolved)
         build_bgk_config(resolved)
@@ -174,6 +245,8 @@ def validate_run_config(cfg: dict) -> dict:
             raise ConfigurationError(
                 "convergence.levels: a refinement study needs at least 3 levels"
             )
+    if exp == "counterexample":
+        build_counterexample_params(resolved)
     if exp == "paths":
         delta = float(_opt(resolved, "paths_cmd.delta", 2.0 ** -14))
         if delta >= 1.0 / math.e:

@@ -213,16 +213,19 @@ def deterministic_solution(t, data: CounterexampleData,
                            grid: SpatialGrid) -> DensityField:
     """Closed-form weak solution rho(t) = rho0 o (flow)^{-1}, sampled pointwise.
 
-    Points with y < 0 are frozen (b2 vanishes there).
+    Points with y < 0 are frozen (b2 vanishes there).  The inverse flow
+    depends on x only through b1(x), so it is solved once per distinct b1
+    value (every x < 0 shares b1 = 0) and the rows are indexed back.
     """
     if grid.dim != 2:
         raise ConfigurationError("the construction is two-dimensional")
     c = grid.axis_centers()
-    X, Y = np.meshgrid(c, c, indexing="ij")
-    pos = Y >= 0
-    _, eta_pos = exact_inverse_flow(t, X, np.where(pos, Y, 0.0))
-    eta = np.where(pos, eta_pos, Y)
-    return DensityField(grid, data.evaluate(X, eta))
+    _, first, row = np.unique(b1(c), return_index=True, return_inverse=True)
+    pos = c >= 0
+    _, eta_rows = exact_inverse_flow(t, c[first][:, None],
+                                     np.where(pos, c, 0.0)[None, :])
+    eta = np.where(pos, eta_rows[row], c)
+    return DensityField(grid, data.evaluate(c[:, None], eta))
 
 
 def bv_growth_experiment(data: CounterexampleData, t, resolutions):

@@ -141,6 +141,33 @@ class TestKernels:
         assert all(np.array_equal(a, b) for a, b in zip(weights, f_weights))
 
 
+    @pytest.mark.parametrize("fp_value", [1.0, -0.7])
+    @pytest.mark.parametrize("d, n", [(1, 512), (2, 24)])
+    def test_constant_fp_transport_is_the_full_shape_kernel(self, d, n, fp_value):
+        """A constant f' gives one foot per cell; the result equals the
+        kernel fed feet built at full shape (n, ..., n_v), byte for byte."""
+        nv, dt = 8, 0.07
+        grid = SpatialGrid(dim=d, half_width=1.5, n=n)
+        rng = np.random.default_rng(10 + d)
+        values = rng.uniform(-1, 1, grid.shape + (nv,))
+        b_grid = rng.uniform(-4, 4, grid.shape + (d,))  # some feet leave the box
+        dB = np.array([0.013, -0.021][:d])
+        fp = np.full(nv, fp_value)
+        x0 = -grid.half_width + 0.5 * grid.h
+        c = grid.axis_centers()
+        if d == 1:
+            feet = c[:, None] - dt * fp[None, :] * b_grid[:, 0][:, None] - dB[0]
+            ref = _interp_monotone_1d(values, feet, x0, grid.h)
+        else:
+            X, Y = np.meshgrid(c, c, indexing="ij")
+            fx = X[:, :, None] - dt * fp[None, None, :] * b_grid[..., 0][:, :, None] - dB[0]
+            fy = Y[:, :, None] - dt * fp[None, None, :] * b_grid[..., 1][:, :, None] - dB[1]
+            ref = _interp_monotone_2d(values, fx, fy, x0, grid.h)
+        out = bgk._transport_values(values, dB, dt, grid, fp, b_grid)
+        assert out.shape == ref.shape == values.shape
+        assert out.tobytes() == ref.tobytes()
+
+
 # scaled foot coordinates s = (foot - x0)/h: on cell centres, halfway
 # between them, anywhere inside, and 1 to 1000 cells beyond either end
 def _coords(n):

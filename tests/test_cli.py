@@ -24,6 +24,14 @@ SIM_CFG = {
 }
 
 
+CE_CFG = {
+    "experiment": "counterexample",
+    "counterexample": {"t": 0.5, "resolutions": [32], "stochastic_resolutions": [32],
+                       "paths": 2, "n_v": 8},
+    "monte_carlo": {"master_seed": 3, "workers": 2},
+}
+
+
 def _write(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
@@ -66,6 +74,41 @@ class TestValidation:
         rc = main(["simulate", "--config", _write(tmp_path, cfg),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+    BAD_FIELDS = [
+        ("counterexample", "counterexample", "t", "soon"),
+        ("counterexample", "counterexample", "t", -0.5),
+        ("counterexample", "counterexample", "resolutions", "abc"),
+        ("counterexample", "counterexample", "resolutions", [32, 2]),
+        ("counterexample", "counterexample", "stochastic_resolutions", [32, "64"]),
+        ("counterexample", "counterexample", "paths", 0),
+        ("counterexample", "counterexample", "paths", 2.5),
+        ("counterexample", "counterexample", "n_v", 7),
+        ("counterexample", "monte_carlo", "workers", "two"),
+        ("counterexample", "monte_carlo", "workers", 0),
+        ("counterexample", "monte_carlo", "master_seed", "seven"),
+        ("simulate", "grid", "n_v", "16"),
+        ("simulate", "grid", "v_bound", "2"),
+        ("simulate", "bgk", "snapshot_stride", "4"),
+        ("simulate", "bgk", "window", "x"),
+        ("simulate", "bgk", "picard_tol", "1e-8"),
+        ("simulate", "bgk", "picard_max_iters", 2.5),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, section, key, value", BAD_FIELDS,
+        ids=[f"{s}.{k}={json.dumps(v, separators=(',', ':'))}"
+             for _, s, k, v in BAD_FIELDS])
+    def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, command,
+                                               section, key, value):
+        cfg = json.loads(json.dumps(CE_CFG if command == "counterexample" else SIM_CFG))
+        cfg[section][key] = value
+        out = tmp_path / "o"
+        rc = main([command, "--config", _write(tmp_path, cfg), "--out", str(out)])
+        assert rc == 2
+        assert f"'{section}.{key}" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any work
 
 
 class TestSimulateBundle:

@@ -128,6 +128,22 @@ class TestDeterministicSolution:
             float(np.max(np.abs(data.sample(grid).values))) + 1e-12
 
 
+    @pytest.mark.parametrize("n", [96, 97])
+    @pytest.mark.parametrize("data", [cusp_data(), smooth_control_data()],
+                             ids=["cusp", "smooth"])
+    def test_row_solve_is_the_pointwise_flow(self, data, n):
+        """One inverse-flow solve per distinct b1(x) row gives, byte for byte,
+        the pointwise flow over the whole grid (x and y of both signs)."""
+        grid = SpatialGrid(dim=2, half_width=3.0, n=n)
+        c = grid.axis_centers()
+        X, Y = np.meshgrid(c, c, indexing="ij")
+        pos = Y >= 0
+        _, eta = exact_inverse_flow(0.7, X, np.where(pos, Y, 0.0))
+        ref = data.evaluate(X, np.where(pos, eta, Y))
+        sol = deterministic_solution(0.7, data, grid)
+        assert sol.values.tobytes() == ref.tobytes()
+
+
 class TestBVLadders:
     def test_initial_time_stable(self):
         rows = bv_growth_experiment(cusp_data(), 0.0, [64, 128, 256])
