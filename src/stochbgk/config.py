@@ -34,18 +34,17 @@ def _lookup(cfg: dict, path: str):
     return node
 
 
-def _typed(node, path: str, typ, where: str):
-    """node checked against typ (a type or tuple of types); an int passes
-    where float is accepted and comes back as a float, a bool passes only
-    where bool is named."""
-    types = typ if isinstance(typ, tuple) else (typ,)
-    if float in types and isinstance(node, int) and not isinstance(node, bool):
-        return float(node)
-    if not isinstance(node, types) or (isinstance(node, bool) and bool not in types):
+def _typed(node, path: str, typ, where: str, low=None):
+    """node checked against typ: an int passes as a float, a bool only as a
+    bool; with low given, a number that must be finite and >= low."""
+    if typ is float and isinstance(node, int) and not isinstance(node, bool):
+        node = float(node)
+    if not isinstance(node, typ) or (isinstance(node, bool) and typ is not bool):
         raise ConfigurationError(
-            f"{where}: field '{path}' has type {type(node).__name__}, "
-            f"expected {' or '.join(t.__name__ for t in types)}"
+            f"{where}: field '{path}' has type {type(node).__name__}, expected {typ.__name__}"
         )
+    if low is not None and not low <= node < math.inf:
+        raise ConfigurationError(f"{where}: field '{path}' is {node}, must be finite and >= {low}")
     return node
 
 
@@ -56,24 +55,17 @@ def _req(cfg: dict, path: str, typ, where: str):
     return _typed(node, path, typ, where)
 
 
-def _get(cfg: dict, path: str, typ, default):
+def _get(cfg: dict, path: str, typ, default, low=None):
     """Optional typed field: default when absent or null."""
     node = _lookup(cfg, path)
     if node is _MISSING or node is None:
         return default
-    return _typed(node, path, typ, "config")
+    return _typed(node, path, typ, "config", low)
 
 
 def _opt(cfg: dict, path: str, default):
     node = _lookup(cfg, path)
     return default if node is _MISSING else node
-
-
-def _at_least(value, path: str, low):
-    """value, if finite and >= low."""
-    if not low <= value < math.inf:
-        raise ConfigurationError(f"config: field '{path}' is {value}, must be finite and >= {low}")
-    return value
 
 
 def load_config(fname) -> dict:
@@ -199,28 +191,26 @@ class CounterexampleParams:
 
 
 def _resolutions(cfg: dict, path: str, default) -> tuple:
-    ns = _get(cfg, path, list, default)
-    for i, n in enumerate(ns):
-        _at_least(_typed(n, f"{path}[{i}]", int, "config"), f"{path}[{i}]", 4)
-    return tuple(ns)
+    return tuple(_typed(n, f"{path}[{i}]", int, "config", low=4)
+                 for i, n in enumerate(_get(cfg, path, list, default)))
 
 
 def build_counterexample_params(cfg: dict) -> CounterexampleParams:
-    t = _at_least(_get(cfg, "counterexample.t", float, 1.0), "counterexample.t", 0.0)
+    t = _get(cfg, "counterexample.t", float, 1.0, low=0.0)
     sres = _resolutions(cfg, "counterexample.stochastic_resolutions", [])
     if sres and t == 0:
         raise ConfigurationError(
             "config: field 'counterexample.t' must be > 0 for the stochastic runs")
-    n_v = _at_least(_get(cfg, "counterexample.n_v", int, 8), "counterexample.n_v", 4)
+    n_v = _get(cfg, "counterexample.n_v", int, 8, low=4)
     if n_v % 2:
         raise ConfigurationError(f"config: field 'counterexample.n_v' is {n_v}, must be even")
     return CounterexampleParams(
         t=t,
         resolutions=_resolutions(cfg, "counterexample.resolutions", [128, 256, 512, 1024]),
         stochastic_resolutions=sres,
-        paths=_at_least(_get(cfg, "counterexample.paths", int, 16), "counterexample.paths", 1),
+        paths=_get(cfg, "counterexample.paths", int, 16, low=1),
         n_v=n_v,
-        workers=_at_least(_get(cfg, "monte_carlo.workers", int, 1), "monte_carlo.workers", 1),
+        workers=_get(cfg, "monte_carlo.workers", int, 1, low=1),
     )
 
 

@@ -140,7 +140,6 @@ class TestKernels:
         assert all(np.array_equal(a, b) for a, b in zip(corners, f_corners))
         assert all(np.array_equal(a, b) for a, b in zip(weights, f_weights))
 
-
     @pytest.mark.parametrize("fp_value", [1.0, -0.7])
     @pytest.mark.parametrize("d, n", [(1, 512), (2, 24)])
     def test_constant_fp_transport_is_the_full_shape_kernel(self, d, n, fp_value):

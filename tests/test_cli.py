@@ -75,7 +75,6 @@ class TestValidation:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
-
     BAD_FIELDS = [
         ("counterexample", "counterexample", "t", "soon"),
         ("counterexample", "counterexample", "t", -0.5),

@@ -127,7 +127,6 @@ class TestDeterministicSolution:
         assert float(np.max(np.abs(sol.values))) <= \
             float(np.max(np.abs(data.sample(grid).values))) + 1e-12
 
-
     @pytest.mark.parametrize("n", [96, 97])
     @pytest.mark.parametrize("data", [cusp_data(), smooth_control_data()],
                              ids=["cusp", "smooth"])
