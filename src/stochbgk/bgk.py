@@ -75,9 +75,6 @@ class BGKConfig:
     def n_steps(self) -> int:
         return int(round(self.horizon / self.dt))
 
-    def with_epsilon(self, eps: float) -> "BGKConfig":
-        return replace(self, epsilon=eps)
-
 
 @dataclass
 class DefectAccumulator:
@@ -147,11 +144,6 @@ class Trajectory:
 
     def final(self) -> DensityField:
         return self.snapshot(len(self.times) - 1)
-
-    def kinetic_snapshot(self, i: int) -> KineticField:
-        if self.u_snapshots is None:
-            raise ConfigurationError("run was made without store_kinetic")
-        return KineticField(self.sgrid, self.vgrid, self.u_snapshots[i])
 
     def path_values_at_snapshots(self) -> np.ndarray:
         nodes = self.path.values_at_nodes()
@@ -623,7 +615,7 @@ def epsilon_continuation(spec: ProblemSpec, config: BGKConfig,
     for eps in eps_list:
         if eps < config.dt:
             warnings.warn(f"epsilon {eps} below dt {config.dt}", stacklevel=2)
-        traj = run_simulation(spec, config.with_epsilon(eps), path)
+        traj = run_simulation(spec, replace(config, epsilon=eps), path)
         u = traj.final_u
         chi = maxwellian_cell_average(traj.final().values, u.vgrid)
         dist = float(np.sum(np.abs(u.values - chi))) * traj.sgrid.cell_volume * u.vgrid.dv

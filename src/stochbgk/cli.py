@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,8 +21,9 @@ from .audit import (AuditReport, check_bv_nonincrease, check_max_principle,
                     run_standard_audit)
 from .bgk import run_simulation
 from .brownian import levy_modulus_statistic, sample_path, sample_paths
-from .config import (build_bgk_config, build_counterexample_params, build_spec,
-                     load_config, validate_run_config, _opt)
+from .config import (EXPERIMENTS, audit_entropy_tol, build_bgk_config, build_convergence_params,
+                     build_counterexample_params, build_paths_params, build_spec,
+                     load_config, output_dir, validate_run_config)
 from .counterexample import (bv_growth_experiment, cusp_data,
                              smooth_control_data, stochastic_counterpart)
 from .csvio import (check_manifest, read_trajectory_csv, write_audit_csv,
@@ -30,12 +32,6 @@ from .csvio import (check_manifest, read_trajectory_csv, write_audit_csv,
 from .errors import ConfigurationError, NumericalAbortError, StochBGKError
 from .grids import SpatialGrid
 from .oracles import shift_reduction_oracle
-
-
-def _out_dir(cfg, override):
-    out = override or _opt(cfg, "output.dir", "out")
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _finish_bundle(out, resolved, seed, files):
@@ -51,11 +47,8 @@ def cmd_simulate(cfg, seed, out) -> int:
     bgk_cfg = build_bgk_config(cfg)
     path = sample_path(seed, bgk_cfg.dt, bgk_cfg.horizon, dim=spec.dim)
     traj = run_simulation(spec, bgk_cfg, path)
-    report = run_standard_audit(traj, spec,
-                                entropy_tol=_opt(cfg, "audit.entropy_tol", None))
-    files = [os.path.join(out, "trajectory.csv"),
-             os.path.join(out, "defect.csv"),
-             os.path.join(out, "audit.csv")]
+    report = run_standard_audit(traj, spec, entropy_tol=audit_entropy_tol(cfg))
+    files = [os.path.join(out, name) for name in ("trajectory.csv", "defect.csv", "audit.csv")]
     write_trajectory_csv(traj, files[0])
     write_defect_csv(traj, files[1])
     write_audit_csv(report, files[2])
@@ -65,30 +58,15 @@ def cmd_simulate(cfg, seed, out) -> int:
 
 
 def cmd_convergence(cfg, seed, out) -> int:
-    from dataclasses import replace
-
-    spec = build_spec(cfg)
-    base = build_bgk_config(cfg)
-    levels = int(_opt(cfg, "convergence.levels", 3))
-    dt_over_h = float(_opt(cfg, "convergence.dt_over_h", 0.25))
-    eps_over_dt = float(_opt(cfg, "convergence.eps_over_dt", 1.0))
-    if spec.dim != 1:
-        raise ConfigurationError("convergence command drives the 1D oracles")
-    b_probe = spec.b_on_grid(SpatialGrid(1, base.half_width, 16))
-    if float(np.ptp(b_probe)) > 1e-12:
-        raise ConfigurationError(
-            "convergence.oracle: the shift-reduction oracle needs constant b"
-        )
-    c = float(b_probe.ravel()[0])
-    horizon = base.horizon
-    rows = []
-    errs = []
-    for lvl in range(levels):
+    params = build_convergence_params(cfg)
+    spec, base, c, horizon = params.spec, params.base, params.c, params.base.horizon
+    rows, errs = [], []
+    for lvl in range(params.levels):
         n = base.n * (2 ** lvl)
         h = 2.0 * base.half_width / n
-        n_steps = max(1, int(round(horizon / (dt_over_h * h))))
+        n_steps = max(1, int(round(horizon / (params.dt_over_h * h))))
         dt = horizon / n_steps
-        eps = eps_over_dt * dt
+        eps = params.eps_over_dt * dt
         cfg_l = replace(base, n=n, dt=dt, epsilon=eps,
                         snapshot_stride=max(1, n_steps // 8))
         path = sample_path(seed, dt, horizon, dim=1)
@@ -107,7 +85,7 @@ def cmd_convergence(cfg, seed, out) -> int:
         rows.append((lvl, n, h, dt, eps, err))
         errs.append(err)
         print(f"level {lvl}: n={n} h={h:.5g} dt={dt:.5g} eps={eps:.5g} L1={err:.6g}")
-    rate = float(-np.polyfit(np.arange(levels), np.log2(errs), 1)[0])
+    rate = float(-np.polyfit(np.arange(params.levels), np.log2(errs), 1)[0])
     print(f"fitted rate: {rate:.3f}")
     files = [os.path.join(out, "convergence.csv")]
     write_rows(files[0], ["level", "n", "h", "dt", "epsilon", "l1_error"], rows)
@@ -135,10 +113,8 @@ def cmd_counterexample(cfg, seed, out) -> int:
                 n_v=params.n_v, workers=params.workers):
             srows.append(("stochastic", n, h, t, mean_bv, std_bv, m))
             print(f"stochastic n={n:5d} mean BV={mean_bv:.5f} std={std_bv:.5f} M={m}")
-        sfile = os.path.join(out, "stochastic_bv.csv")
-        write_rows(sfile, ["experiment", "n", "h", "t", "mean_bv", "std_bv", "paths"],
-                   srows)
-        files.append(sfile)
+        files.append(os.path.join(out, "stochastic_bv.csv"))
+        write_rows(files[-1], ["experiment", "n", "h", "t", "mean_bv", "std_bv", "paths"], srows)
     files.extend(_write_figure_pair(out, rows, srows))
     _finish_bundle(out, cfg, seed, files)
     return 0
@@ -176,8 +152,8 @@ def cmd_audit(cfg, seed, out, bundle_dir) -> int:
         raise ConfigurationError(f"{traj_file}: the bundle has no trajectory")
     _, rho, dim = read_trajectory_csv(traj_file)
     spec = build_spec(manifest["config"])
-    half_width = float(_opt(manifest["config"], "grid.half_width", 1.0))
-    grid = SpatialGrid(dim=dim, half_width=half_width, n=rho.shape[1])
+    grid = SpatialGrid(dim=dim, half_width=build_bgk_config(manifest["config"]).half_width,
+                       n=rho.shape[1])
     report = AuditReport([check_max_principle(rho),
                           check_bv_nonincrease(rho, grid, spec)])
     files = [os.path.join(out, "reaudit.csv")]
@@ -188,19 +164,16 @@ def cmd_audit(cfg, seed, out, bundle_dir) -> int:
 
 
 def cmd_paths(cfg, seed, out) -> int:
-    delta = float(_opt(cfg, "paths_cmd.delta", 2.0 ** -14))
-    count = int(_opt(cfg, "paths_cmd.count", 100))
-    horizon = float(_opt(cfg, "paths_cmd.horizon", 1.0))
-    dims = [int(d) for d in _opt(cfg, "paths_cmd.dims", [1, 2])]
+    params = build_paths_params(cfg)
     rows = []
-    for dim in dims:
-        paths = sample_paths(seed, delta, horizon, dim, count)
-        stat = levy_modulus_statistic(paths, delta)
+    for dim in params.dims:
+        paths = sample_paths(seed, params.delta, params.horizon, dim, params.count)
+        stat = levy_modulus_statistic(paths, params.delta)
         inc = np.concatenate([p.increments for p in paths])
         var = float(np.mean(inc * inc))
-        rows.append((dim, delta, count, stat, stat / math.sqrt(dim), var))
+        rows.append((dim, params.delta, params.count, stat, stat / math.sqrt(dim), var))
         print(f"d={dim}: levy statistic={stat:.4f} (/sqrt d = {stat / math.sqrt(dim):.4f}), "
-              f"increment var={var:.3e} (dt={delta:.3e})")
+              f"increment var={var:.3e} (dt={params.delta:.3e})")
     files = [os.path.join(out, "paths.csv")]
     write_rows(files[0], ["dim", "delta", "paths", "levy_statistic",
                           "levy_over_sqrt_d", "increment_variance"], rows)
@@ -210,48 +183,35 @@ def cmd_paths(cfg, seed, out) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="stochbgk",
-        description="BGK laboratory for scalar conservation laws with "
-                    "Brownian transport noise",
-    )
+        prog="stochbgk", description="BGK laboratory for scalar conservation laws with "
+                                     "Brownian transport noise")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "convergence", "counterexample", "paths"):
+    for name in EXPERIMENTS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
+        if name == "audit":
+            p.add_argument("--bundle", required=True,
+                           help="directory holding a previous run's outputs")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-    p = sub.add_parser("audit")
-    p.add_argument("--config", required=True)
-    p.add_argument("--bundle", required=True,
-                   help="directory holding a previous run's outputs")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
         resolved = validate_run_config(cfg)
         if resolved["experiment"] != args.command:
-            raise ConfigurationError(
-                f"experiment: config says '{resolved['experiment']}' but the "
-                f"command is '{args.command}'"
-            )
-        seed = args.seed if args.seed is not None else int(
-            resolved["monte_carlo"]["master_seed"])
+            raise ConfigurationError(f"field 'experiment' is '{resolved['experiment']}' "
+                                     f"but the command is '{args.command}'")
+        seed = args.seed if args.seed is not None else resolved["monte_carlo"]["master_seed"]
         resolved["monte_carlo"]["master_seed"] = seed
-        out = _out_dir(resolved, args.out)
-        if args.command == "simulate":
-            return cmd_simulate(resolved, seed, out)
-        if args.command == "convergence":
-            return cmd_convergence(resolved, seed, out)
-        if args.command == "counterexample":
-            return cmd_counterexample(resolved, seed, out)
+        out = args.out or output_dir(resolved)
+        os.makedirs(out, exist_ok=True)
         if args.command == "audit":
             return cmd_audit(resolved, seed, out, args.bundle)
-        if args.command == "paths":
-            return cmd_paths(resolved, seed, out)
-        raise ConfigurationError(f"unknown command {args.command}")
+        commands = {"simulate": cmd_simulate, "convergence": cmd_convergence,
+                    "counterexample": cmd_counterexample, "paths": cmd_paths}
+        return commands[args.command](resolved, seed, out)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,10 @@
 """Run configuration: a JSON document with named presets.
 
 Every experiment the suite runs is expressible through presets (fluxes,
-advecting fields, initial data) so no run requires code changes.  Validation
-errors name the offending field path.
+advecting fields, initial data) so no run requires code changes.  Each key is
+read here and only here, by its dotted path from the document root (list
+entries as ``path[i]``), with its type, default and range; a bad value raises
+ConfigurationError naming that path.
 """
 
 from __future__ import annotations
@@ -11,170 +13,173 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bgk import BGKConfig
 from .counterexample import cusp_data, cusp_flow_spec, smooth_control_data
 from .errors import ConfigurationError
+from .grids import SpatialGrid
 from .problem import (ProblemSpec, bump_data, burgers_flux, constant_data,
                       constant_field, linear_flux, make_spec, plateau_data,
                       random_bv_data, riemann_data, shear_field_2d,
                       tanh_field_1d)
 
 EXPERIMENTS = ("simulate", "convergence", "counterexample", "audit", "paths")
+# presets that exist in one dimension only
+_PRESET_DIM = {"tanh": 1, "riemann": 1, "plateau": 1, "random_bv": 1, "shear": 2, "cusp_flow": 2}
 
 
 _MISSING = object()
 
 
 def _lookup(cfg: dict, path: str):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
+    """The node at path; _MISSING when a key on the way is absent or null."""
+    node, parts = cfg, path.split(".")
+    for i, part in enumerate(parts):
+        if node is None or node is _MISSING:
             return _MISSING
-        node = node[part]
+        node = _typed(node, ".".join(parts[:i]) or "(root)", dict).get(part, _MISSING)
     return node
 
 
-def _typed(node, path: str, typ, where: str, low=None):
-    """node checked against typ: an int passes as a float, a bool only as a
-    bool; with low given, a number that must be finite and >= low."""
+def _typed(node, path: str, typ, low=None, above=None):
+    """node checked against typ (an int passes as a float, a bool only as a
+    bool) and, with low or above given, finite and >= low or > above."""
     if typ is float and isinstance(node, int) and not isinstance(node, bool):
         node = float(node)
     if not isinstance(node, typ) or (isinstance(node, bool) and typ is not bool):
         raise ConfigurationError(
-            f"{where}: field '{path}' has type {type(node).__name__}, expected {typ.__name__}"
-        )
-    if low is not None and not low <= node < math.inf:
-        raise ConfigurationError(f"{where}: field '{path}' is {node}, must be finite and >= {low}")
+            f"field '{path}' has type {type(node).__name__}, expected {typ.__name__}")
+    if (low is not None and not low <= node < math.inf
+            or above is not None and not above < node < math.inf):
+        raise ConfigurationError(f"field '{path}' is {node}, must be finite and "
+                                 + (f">= {low}" if above is None else f"> {above}"))
     return node
 
 
-def _req(cfg: dict, path: str, typ, where: str):
-    node = _lookup(cfg, path)
-    if node is _MISSING:
-        raise ConfigurationError(f"{where}: missing required field '{path}'")
-    return _typed(node, path, typ, where)
-
-
-def _get(cfg: dict, path: str, typ, default, low=None):
-    """Optional typed field: default when absent or null."""
+def _get(cfg: dict, path: str, typ, default=_MISSING, low=None, above=None):
+    """Typed field at path: default when absent or null, required without one."""
     node = _lookup(cfg, path)
     if node is _MISSING or node is None:
+        if default is _MISSING:
+            raise ConfigurationError(f"missing required field '{path}'")
         return default
-    return _typed(node, path, typ, "config", low)
+    return _typed(node, path, typ, low, above)
 
 
-def _opt(cfg: dict, path: str, default):
-    node = _lookup(cfg, path)
-    return default if node is _MISSING else node
+def _list(cfg: dict, path: str, typ, default, length=None, low=None) -> tuple:
+    """List of typ entries, each read as 'path[i]'."""
+    items = _get(cfg, path, list, default)
+    if length is not None and len(items) != length:
+        raise ConfigurationError(f"field '{path}' has {len(items)} entries, must have {length}")
+    return tuple(_typed(x, f"{path}[{i}]", typ, low) for i, x in enumerate(items))
+
+
+def _even(cfg: dict, path: str, default) -> int:
+    n = _get(cfg, path, int, default, low=4)
+    if n % 2:
+        raise ConfigurationError(f"field '{path}' is {n}, must be even")
+    return n
 
 
 def load_config(fname) -> dict:
-    with open(fname) as fh:
-        try:
+    try:
+        with open(fname) as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{fname}: invalid JSON ({exc})") from exc
+    except (OSError, ValueError) as exc:  # ValueError covers malformed JSON
+        raise ConfigurationError(f"{fname}: not a readable JSON config ({exc})") from exc
 
 
-def build_flux(name: str):
-    if name == "burgers":
-        return burgers_flux()
-    if name == "linear":
-        return linear_flux()
-    raise ConfigurationError(f"spec.flux: unknown preset '{name}'")
-
-
-def build_field(node: dict, dim: int):
-    preset = _req(node, "preset", str, "spec.field")
-    if preset == "zero":
-        b, div_b, bs = constant_field([0.0] * dim)
+def build_field(cfg: dict, dim: int):
+    preset = _get(cfg, "spec.field.preset", str)
+    if preset in ("zero", "constant"):
+        b, div_b, bs = constant_field(
+            [0.0] * dim if preset == "zero"
+            else _list(cfg, "spec.field.c", float, [1.0] + [0.0] * (dim - 1), length=dim))
         return (b, div_b), True, 0.0, bs
-    if preset == "constant":
-        c = _opt(node, "c", [1.0] + [0.0] * (dim - 1))
-        if len(c) != dim:
-            raise ConfigurationError(f"spec.field.c: expected {dim} components")
-        b, div_b, bs = constant_field(c)
-        return (b, div_b), True, 0.0, bs
-    if preset == "tanh":
-        if dim != 1:
-            raise ConfigurationError("spec.field: tanh preset is 1D")
-        amp = float(_opt(node, "amplitude", 1.0))
-        width = float(_opt(node, "width", 1.0))
+    if preset in ("tanh", "shear"):
+        amp = _get(cfg, "spec.field.amplitude", float, 1.0)
+        width = _get(cfg, "spec.field.width", float, 1.0, above=0.0)
+        if preset == "shear":
+            return shear_field_2d(amp, width), True, 0.0, abs(amp)
         b, div_b, dbs = tanh_field_1d(amp, width)
         return (b, div_b), False, dbs, abs(amp)
-    if preset == "shear":
-        if dim != 2:
-            raise ConfigurationError("spec.field: shear preset is 2D")
-        amp = float(_opt(node, "amplitude", 1.0))
-        width = float(_opt(node, "width", 1.0))
-        return shear_field_2d(amp, width), True, 0.0, abs(amp)
-    raise ConfigurationError(f"spec.field.preset: unknown preset '{preset}'")
+    raise ConfigurationError(f"field 'spec.field.preset': unknown preset '{preset}'")
 
 
-def build_initial(node: dict, dim: int):
-    preset = _req(node, "preset", str, "spec.initial")
+def build_initial(cfg: dict, dim: int):
+    preset = _get(cfg, "spec.initial.preset", str)
+
+    def num(key, default, **rng):
+        return _get(cfg, f"spec.initial.{key}", float, default, **rng)
+
     if preset == "riemann":
-        if dim != 1:
-            raise ConfigurationError("spec.initial: riemann preset is 1D")
-        return riemann_data(float(_opt(node, "left", 1.0)),
-                            float(_opt(node, "right", 0.0)),
-                            float(_opt(node, "x0", 0.0)))
+        return riemann_data(num("left", 1.0), num("right", 0.0), num("x0", 0.0))
     if preset == "plateau":
-        if dim != 1:
-            raise ConfigurationError("spec.initial: plateau preset is 1D")
-        return plateau_data(float(_opt(node, "height", 1.0)),
-                            float(_opt(node, "a", -1.0)),
-                            float(_opt(node, "b", 0.0)))
+        return plateau_data(num("height", 1.0), num("a", -1.0), num("b", 0.0))
     if preset == "bump":
-        return bump_data(_opt(node, "center", 0.0),
-                         float(_opt(node, "width", 1.0)),
-                         float(_opt(node, "amplitude", 1.0)))
+        center = (_list(cfg, "spec.initial.center", float, None, length=dim)
+                  if isinstance(_lookup(cfg, "spec.initial.center"), list)
+                  else num("center", 0.0))
+        return bump_data(center, num("width", 1.0, above=0.0), num("amplitude", 1.0))
     if preset == "random_bv":
-        return random_bv_data(int(_opt(node, "seed", 0)),
-                              int(_opt(node, "pieces", 8)),
-                              float(_opt(node, "amplitude", 1.0)),
-                              tuple(_opt(node, "support", (-1.0, 1.0))),
-                              float(_opt(node, "floor", 0.0)))
+        support = _list(cfg, "spec.initial.support", float, (-1.0, 1.0), length=2)
+        if not support[0] < support[1]:
+            raise ConfigurationError(
+                f"field 'spec.initial.support' is {list(support)}, must be increasing")
+        return random_bv_data(_get(cfg, "spec.initial.seed", int, 0, low=0),
+                              _get(cfg, "spec.initial.pieces", int, 8, low=1),
+                              num("amplitude", 1.0), support, num("floor", 0.0))
     if preset == "constant":
-        return constant_data(float(_opt(node, "value", 1.0)))
-    raise ConfigurationError(f"spec.initial.preset: unknown preset '{preset}'")
+        return constant_data(num("value", 1.0))
+    raise ConfigurationError(f"field 'spec.initial.preset': unknown preset '{preset}'")
 
 
 def build_spec(cfg: dict) -> ProblemSpec:
-    node = _req(cfg, "spec", dict, "config")
-    dim = int(_req(cfg, "grid.dim", int, "config"))
-    field_node = _req(node, "field", dict, "spec")
-    preset = _opt(field_node, "preset", "")
-    if preset == "cusp_flow":
-        if dim != 2:
-            raise ConfigurationError("spec.field: cusp_flow preset is 2D")
-        variant = _opt(cfg, "spec.initial.preset", "cusp2d")
-        data = cusp_data() if variant == "cusp2d" else smooth_control_data()
-        return cusp_flow_spec(data)
-    flux = build_flux(_req(node, "flux", str, "spec"))
-    field_parts, div_free, dbs, bs = build_field(field_node, dim)
-    rho0 = build_initial(_req(node, "initial", dict, "spec"), dim)
-    name = _opt(cfg, "name", "run")
-    return make_spec(name, dim, flux, field_parts, rho0, div_free,
-                     div_b_sup=dbs, b_sup=bs)
+    dim = _get(cfg, "grid.dim", int)
+    if dim not in (1, 2):
+        raise ConfigurationError(f"field 'grid.dim' is {dim}, must be 1 or 2")
+    for path in ("spec.field.preset", "spec.initial.preset"):
+        want = _PRESET_DIM.get(_get(cfg, path, str, ""), dim)
+        if want != dim:
+            raise ConfigurationError(f"field '{path}': the preset is {want}D, grid.dim is {dim}")
+    if _get(cfg, "spec.field.preset", str) == "cusp_flow":
+        variant = _get(cfg, "spec.initial.preset", str, "cusp2d")
+        return cusp_flow_spec(cusp_data() if variant == "cusp2d" else smooth_control_data())
+    flux = _get(cfg, "spec.flux", str)
+    if flux not in ("burgers", "linear"):
+        raise ConfigurationError(f"field 'spec.flux': unknown preset '{flux}'")
+    flux = burgers_flux() if flux == "burgers" else linear_flux()
+    field_parts, div_free, dbs, bs = build_field(cfg, dim)
+    rho0 = build_initial(cfg, dim)
+    return make_spec(_get(cfg, "name", str, "run"), dim, flux, field_parts, rho0,
+                     div_free, div_b_sup=dbs, b_sup=bs)
 
 
 def build_bgk_config(cfg: dict) -> BGKConfig:
+    dt = _get(cfg, "bgk.dt", float, above=0.0)
     return BGKConfig(
-        epsilon=_req(cfg, "bgk.epsilon", float, "config"),
-        dt=_req(cfg, "bgk.dt", float, "config"),
-        horizon=_req(cfg, "bgk.horizon", float, "config"),
-        half_width=_req(cfg, "grid.half_width", float, "config"),
-        n=_req(cfg, "grid.n", int, "config"),
-        n_v=_get(cfg, "grid.n_v", int, 32),
-        v_bound=_get(cfg, "grid.v_bound", float, None),
-        snapshot_stride=_get(cfg, "bgk.snapshot_stride", int, 1),
-        store_kinetic=_get(cfg, "bgk.store_kinetic", bool, False),
-        store_defect_field=_get(cfg, "bgk.store_defect_field", bool, False),
-        window=_get(cfg, "bgk.window", float, None),
-        picard_tol=_get(cfg, "bgk.picard_tol", float, 1e-8),
-        picard_max_iters=_get(cfg, "bgk.picard_max_iters", int, 200),
+        epsilon=_get(cfg, "bgk.epsilon", float, above=0.0),
+        dt=dt,
+        horizon=_get(cfg, "bgk.horizon", float, low=dt),
+        half_width=_get(cfg, "grid.half_width", float, above=0.0),
+        n=_get(cfg, "grid.n", int, low=4),
+        n_v=_even(cfg, "grid.n_v", 32),
+        v_bound=_get(cfg, "grid.v_bound", float, None, above=0.0),
+        snapshot_stride=_get(cfg, "bgk.snapshot_stride", int, 1, low=1),
+        window=_get(cfg, "bgk.window", float, None, above=0.0),
+        picard_tol=_get(cfg, "bgk.picard_tol", float, 1e-8, low=0.0),
+        picard_max_iters=_get(cfg, "bgk.picard_max_iters", int, 200, low=1),
     )
+
+
+def audit_entropy_tol(cfg: dict):
+    """The simulate audit's entropy-residual tolerance; None skips the check."""
+    return _get(cfg, "audit.entropy_tol", float, None, low=0.0)
+
+
+def output_dir(cfg: dict) -> str:
+    return _get(cfg, "output.dir", str, "out")
 
 
 @dataclass(frozen=True)
@@ -190,55 +195,89 @@ class CounterexampleParams:
     workers: int
 
 
-def _resolutions(cfg: dict, path: str, default) -> tuple:
-    return tuple(_typed(n, f"{path}[{i}]", int, "config", low=4)
-                 for i, n in enumerate(_get(cfg, path, list, default)))
-
-
 def build_counterexample_params(cfg: dict) -> CounterexampleParams:
     t = _get(cfg, "counterexample.t", float, 1.0, low=0.0)
-    sres = _resolutions(cfg, "counterexample.stochastic_resolutions", [])
+    sres = _list(cfg, "counterexample.stochastic_resolutions", int, [], low=4)
     if sres and t == 0:
-        raise ConfigurationError(
-            "config: field 'counterexample.t' must be > 0 for the stochastic runs")
-    n_v = _get(cfg, "counterexample.n_v", int, 8, low=4)
-    if n_v % 2:
-        raise ConfigurationError(f"config: field 'counterexample.n_v' is {n_v}, must be even")
+        raise ConfigurationError("field 'counterexample.t' must be > 0 for the stochastic runs")
     return CounterexampleParams(
         t=t,
-        resolutions=_resolutions(cfg, "counterexample.resolutions", [128, 256, 512, 1024]),
+        resolutions=_list(cfg, "counterexample.resolutions", int, [128, 256, 512, 1024],
+                          low=4),
         stochastic_resolutions=sres,
         paths=_get(cfg, "counterexample.paths", int, 16, low=1),
-        n_v=n_v,
+        n_v=_even(cfg, "counterexample.n_v", 8),
         workers=_get(cfg, "monte_carlo.workers", int, 1, low=1),
     )
 
 
+@dataclass(frozen=True)
+class ConvergenceParams:
+    """What `stochbgk convergence` runs: the 1D spec, whose b is the constant
+    c, on `levels` doublings of the base grid at fixed dt/h and epsilon/dt."""
+
+    spec: ProblemSpec
+    base: BGKConfig
+    c: float
+    levels: int
+    dt_over_h: float
+    eps_over_dt: float
+
+
+def build_convergence_params(cfg: dict) -> ConvergenceParams:
+    spec, base = build_spec(cfg), build_bgk_config(cfg)
+    if spec.dim != 1:
+        raise ConfigurationError("field 'grid.dim': the convergence command drives the 1D oracles")
+    b_probe = spec.b_on_grid(SpatialGrid(1, base.half_width, 16))
+    if float(np.ptp(b_probe)) > 1e-12:
+        raise ConfigurationError("field 'spec.field': the shift-reduction oracle needs constant b")
+    return ConvergenceParams(
+        spec=spec, base=base, c=float(b_probe.ravel()[0]),
+        levels=_get(cfg, "convergence.levels", int, low=3),
+        dt_over_h=_get(cfg, "convergence.dt_over_h", float, 0.25, above=0.0),
+        eps_over_dt=_get(cfg, "convergence.eps_over_dt", float, 1.0, above=0.0),
+    )
+
+
+@dataclass(frozen=True)
+class PathsParams:
+    """What `stochbgk paths` runs: the Levy modulus statistic at lag delta
+    over `count` paths on [0, horizon], once per dimension in dims."""
+
+    delta: float
+    count: int
+    horizon: float
+    dims: tuple
+
+
+def build_paths_params(cfg: dict) -> PathsParams:
+    delta = _get(cfg, "paths_cmd.delta", float, 2.0 ** -14, above=0.0)
+    if delta >= 1.0 / math.e:
+        raise ConfigurationError(f"field 'paths_cmd.delta' is {delta}, must be < 1/e")
+    return PathsParams(
+        delta=delta,
+        count=_get(cfg, "paths_cmd.count", int, 100, low=1),
+        horizon=_get(cfg, "paths_cmd.horizon", float, 1.0, low=delta),
+        dims=_list(cfg, "paths_cmd.dims", int, [1, 2], low=1),
+    )
+
+
 def validate_run_config(cfg: dict) -> dict:
-    """Schema check; returns the resolved (defaults filled) document."""
-    exp = _req(cfg, "experiment", str, "config")
+    """Run every read and check the experiment's command makes; returns the
+    resolved document, a JSON-clean deep copy of cfg with the monte_carlo
+    defaults filled."""
+    exp = _get(cfg, "experiment", str)
     if exp not in EXPERIMENTS:
         raise ConfigurationError(
-            f"experiment: '{exp}' is not one of {', '.join(EXPERIMENTS)}"
-        )
+            f"field 'experiment' is '{exp}', not one of {', '.join(EXPERIMENTS)}")
     resolved = json.loads(json.dumps(cfg))  # deep copy, JSON-clean
-    resolved["monte_carlo"] = _get(resolved, "monte_carlo", dict, {})
-    resolved["monte_carlo"].setdefault("master_seed", 0)
-    resolved["monte_carlo"].setdefault("workers", 1)
-    _req(resolved, "monte_carlo.master_seed", int, "config")
-    if exp in ("simulate", "convergence"):
-        build_spec(resolved)
-        build_bgk_config(resolved)
-    if exp == "convergence":
-        levels = _opt(resolved, "convergence.levels", None)
-        if levels is None or int(levels) < 3:
-            raise ConfigurationError(
-                "convergence.levels: a refinement study needs at least 3 levels"
-            )
-    if exp == "counterexample":
-        build_counterexample_params(resolved)
-    if exp == "paths":
-        delta = float(_opt(resolved, "paths_cmd.delta", 2.0 ** -14))
-        if delta >= 1.0 / math.e:
-            raise ConfigurationError("paths_cmd.delta: must be < 1/e")
+    resolved["monte_carlo"] = {"master_seed": 0, "workers": 1,
+                               **_get(resolved, "monte_carlo", dict, {})}
+    _get(resolved, "monte_carlo.master_seed", int)
+    output_dir(resolved)
+    for build in {"simulate": (build_spec, build_bgk_config, audit_entropy_tol),
+                  "convergence": (build_convergence_params,),
+                  "counterexample": (build_counterexample_params,),
+                  "paths": (build_paths_params,)}.get(exp, ()):
+        build(resolved)
     return resolved

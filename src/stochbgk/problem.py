@@ -7,7 +7,7 @@ over the solver's velocity range rather than all of R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,9 +79,6 @@ class ProblemSpec:
                 f"spec is {self.dim}-dimensional but grid is {grid.dim}-dimensional"
             )
         return DensityField(grid, np.asarray(self.rho0(grid), dtype=float))
-
-    def with_initial(self, rho0: Callable[[SpatialGrid], Array], name=None) -> "ProblemSpec":
-        return replace(self, rho0=rho0, name=name or self.name)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ def _quiet_pad_warnings():
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*padded box.*")
         warnings.filterwarnings("ignore", message=".*epsilon.*")
-        warnings.filterwarnings("ignore", message=".*exceeds epsilon.*")
         yield
 
 

@@ -2,9 +2,11 @@
 
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stochbgk.cli import main
 from stochbgk.config import validate_run_config
@@ -30,6 +32,45 @@ CE_CFG = {
                        "paths": 2, "n_v": 8},
     "monte_carlo": {"master_seed": 3, "workers": 2},
 }
+
+
+CONV_CFG = {**json.loads(json.dumps(SIM_CFG)), "experiment": "convergence",
+            "convergence": {"levels": 3, "dt_over_h": 0.5, "eps_over_dt": 1.0}}
+CONV_CFG["grid"]["n"] = 64
+
+
+PATHS_CFG = {
+    "experiment": "paths",
+    "paths_cmd": {"delta": 2.0**-10, "count": 10, "horizon": 0.5, "dims": [1]},
+    "monte_carlo": {"master_seed": 3},
+}
+
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+
+def _edited(cfg, path, value):
+    """A deep copy of cfg with the field at dotted path set to value."""
+    cfg = json.loads(json.dumps(cfg))
+    *parents, key = path.split(".")
+    node = cfg
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[key] = value
+    return cfg
+
+
+def _leaves(node, path=""):
+    """(dotted path, key sequence, value) of every scalar in a JSON document;
+    list entries are named path[i]."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for k, v in items:
+            sub = f"{path}[{k}]" if isinstance(node, list) else (f"{path}.{k}" if path else k)
+            for leaf_path, keys, value in _leaves(v, sub):
+                yield leaf_path, (k,) + keys, value
+    else:
+        yield path, (), node
 
 
 def _write(tmp_path, cfg, name="cfg.json"):
@@ -75,39 +116,94 @@ class TestValidation:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    BASES = {
+        "simulate": SIM_CFG,
+        "tanh": _edited(SIM_CFG, "spec.field", {"preset": "tanh"}),
+        "random_bv": _edited(SIM_CFG, "spec.initial", {"preset": "random_bv"}),
+        "convergence": CONV_CFG,
+        "counterexample": CE_CFG,
+        "paths": PATHS_CFG,
+    }
+
+    # (base config, dotted path, value); the error must name the path
     BAD_FIELDS = [
-        ("counterexample", "counterexample", "t", "soon"),
-        ("counterexample", "counterexample", "t", -0.5),
-        ("counterexample", "counterexample", "resolutions", "abc"),
-        ("counterexample", "counterexample", "resolutions", [32, 2]),
-        ("counterexample", "counterexample", "stochastic_resolutions", [32, "64"]),
-        ("counterexample", "counterexample", "paths", 0),
-        ("counterexample", "counterexample", "paths", 2.5),
-        ("counterexample", "counterexample", "n_v", 7),
-        ("counterexample", "monte_carlo", "workers", "two"),
-        ("counterexample", "monte_carlo", "workers", 0),
-        ("counterexample", "monte_carlo", "master_seed", "seven"),
-        ("simulate", "grid", "n_v", "16"),
-        ("simulate", "grid", "v_bound", "2"),
-        ("simulate", "bgk", "snapshot_stride", "4"),
-        ("simulate", "bgk", "window", "x"),
-        ("simulate", "bgk", "picard_tol", "1e-8"),
-        ("simulate", "bgk", "picard_max_iters", 2.5),
+        ("counterexample", "counterexample.t", "soon"),
+        ("counterexample", "counterexample.t", -0.5),
+        ("counterexample", "counterexample.resolutions", "abc"),
+        ("counterexample", "counterexample.resolutions", [32, 2]),
+        ("counterexample", "counterexample.stochastic_resolutions", [32, "64"]),
+        ("counterexample", "counterexample.paths", 0),
+        ("counterexample", "counterexample.paths", 2.5),
+        ("counterexample", "counterexample.n_v", 7),
+        ("counterexample", "monte_carlo.workers", "two"),
+        ("counterexample", "monte_carlo.workers", 0),
+        ("counterexample", "monte_carlo.master_seed", "seven"),
+        ("simulate", "grid.n_v", "16"),
+        ("simulate", "grid.v_bound", "2"),
+        ("simulate", "bgk.snapshot_stride", "4"),
+        ("simulate", "bgk.window", "x"),
+        ("simulate", "bgk.picard_tol", "1e-8"),
+        ("simulate", "bgk.picard_max_iters", 2.5),
+        ("simulate", "bgk.horizon", 0.001),
+        ("simulate", "spec.initial.height", "tall"),
+        ("simulate", "spec.field.c", "x"),
+        ("simulate", "spec.field.c", ["a"]),
+        ("simulate", "spec.field.c", 5),
+        ("random_bv", "spec.initial.support", [1.0]),
+        ("tanh", "spec.field.width", 0),
+        ("simulate", "audit.entropy_tol", "big"),
+        ("simulate", "audit.entropy_tol", -1.0),
+        ("convergence", "convergence.levels", "three"),
+        ("convergence", "convergence.levels", 3.5),
+        ("convergence", "convergence.dt_over_h", 0),
+        ("convergence", "convergence.dt_over_h", "x"),
+        ("paths", "paths_cmd.delta", "small"),
+        ("paths", "paths_cmd.count", 0),
+        ("paths", "paths_cmd.dims", "12"),
     ]
 
     @pytest.mark.parametrize(
-        "command, section, key, value", BAD_FIELDS,
-        ids=[f"{s}.{k}={json.dumps(v, separators=(',', ':'))}"
-             for _, s, k, v in BAD_FIELDS])
-    def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, command,
-                                               section, key, value):
-        cfg = json.loads(json.dumps(CE_CFG if command == "counterexample" else SIM_CFG))
-        cfg[section][key] = value
+        "base, path, value", BAD_FIELDS,
+        ids=[f"{p}={json.dumps(v, separators=(',', ':'))}" for _, p, v in BAD_FIELDS])
+    def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, base, path, value):
+        cfg = _edited(self.BASES[base], path, value)
         out = tmp_path / "o"
-        rc = main([command, "--config", _write(tmp_path, cfg), "--out", str(out)])
+        rc = main([cfg["experiment"], "--config", _write(tmp_path, cfg), "--out", str(out)])
         assert rc == 2
-        assert f"'{section}.{key}" in capsys.readouterr().err
+        assert f"'{path}" in capsys.readouterr().err
         assert not out.exists()  # rejected before any work
+
+    def test_missing_config_file_exits_2_naming_it(self, tmp_path, capsys):
+        missing, out = tmp_path / "absent.json", tmp_path / "o"
+        rc = main(["simulate", "--config", str(missing), "--out", str(out)])
+        assert rc == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not out.exists()
+
+    # a value of each JSON type; for a leaf, every one of another type than
+    # the leaf's (a float leaf also accepts an int, so ints are not offered)
+    WRONG = {str: ["x", 1.5, 2, True, [], {}], float: ["x", True, [], {}],
+             int: ["x", 1.5, True, [], {}]}
+
+    @pytest.mark.parametrize("cfg", [json.loads((GOLDEN_DIR / "config.json").read_text()),
+                                     CONV_CFG, PATHS_CFG, CE_CFG],
+                             ids=["golden", "convergence", "paths", "counterexample"])
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_wrong_type_leaf_is_named(self, cfg, data):
+        leaves = list(_leaves(cfg))
+        assert validate_run_config(cfg)
+        path, keys, value = data.draw(st.sampled_from(leaves))
+        wrong = data.draw(st.sampled_from(
+            [w for w in self.WRONG[type(value)] if type(w) is not type(value)]))
+        bad = json.loads(json.dumps(cfg))
+        node = bad
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = wrong
+        with pytest.raises(ConfigurationError) as info:
+            validate_run_config(bad)
+        assert path in str(info.value)
 
 
 class TestSimulateBundle:
@@ -279,26 +375,18 @@ class TestSimulate2D:
 
 class TestGoldenRun:
     def test_reproduces_checked_in_csv(self, tmp_path):
-        import pathlib
-        golden_dir = pathlib.Path(__file__).parent / "golden"
         out = tmp_path / "golden_out"
-        rc = main(["simulate", "--config", str(golden_dir / "config.json"),
+        rc = main(["simulate", "--config", str(GOLDEN_DIR / "config.json"),
                    "--out", str(out)])
         assert rc == 0
         assert (out / "trajectory.csv").read_bytes() == \
-            (golden_dir / "trajectory.csv").read_bytes()
+            (GOLDEN_DIR / "trajectory.csv").read_bytes()
 
 
 class TestPathsCommand:
     def test_levy_table(self, tmp_path):
-        cfg = {
-            "experiment": "paths",
-            "paths_cmd": {"delta": 2.0**-10, "count": 10, "horizon": 0.5,
-                          "dims": [1]},
-            "monte_carlo": {"master_seed": 3},
-        }
         out = tmp_path / "p"
-        rc = main(["paths", "--config", _write(tmp_path, cfg),
+        rc = main(["paths", "--config", _write(tmp_path, PATHS_CFG),
                    "--out", str(out)])
         assert rc == 0
         lines = (out / "paths.csv").read_text().splitlines()
@@ -346,13 +434,8 @@ class TestCounterexampleCommand:
 
 class TestConvergenceCommand:
     def test_rate_table(self, tmp_path):
-        cfg = json.loads(json.dumps(SIM_CFG))
-        cfg["experiment"] = "convergence"
-        cfg["grid"]["n"] = 64
-        cfg["bgk"]["horizon"] = 0.2
-        cfg["convergence"] = {"levels": 3, "dt_over_h": 0.5, "eps_over_dt": 1.0}
         out = tmp_path / "conv"
-        rc = main(["convergence", "--config", _write(tmp_path, cfg),
+        rc = main(["convergence", "--config", _write(tmp_path, CONV_CFG),
                    "--out", str(out)])
         assert rc == 0
         rows = (out / "convergence.csv").read_text().splitlines()

@@ -72,11 +72,3 @@ def test_random_bv_deterministic_and_ordered():
     hi = random_bv_data(5, pieces=6, amplitude=0.5, floor=0.2)(grid)
     assert np.array_equal(lo, lo2)
     assert np.all(hi >= lo)
-
-
-def test_with_initial_substitution():
-    spec = burgers_const_1d(plateau_data(), c=1.0)
-    other = spec.with_initial(bump_data(0.0, 1.0, 0.5), name="renamed")
-    assert other.name == "renamed"
-    grid = SpatialGrid(dim=1, half_width=2.0, n=32)
-    assert other.initial_field(grid).linf() <= 0.5
