@@ -402,11 +402,12 @@ def check_comparison(traj_lo: Trajectory, traj_hi: Trajectory) -> CheckResult:
     return CheckResult("comparison", worst >= -1e-10, worst, 0.0, 1e-10)
 
 
-def fit_holder_exponent(traj: Trajectory, region=None, max_lags: int = 6):
+def fit_holder_exponent(traj: Trajectory, region=None):
     """Log-log least squares of the L1 time modulus against dyadic lags.
 
-    Lags run over [4 dt_snap, T/8]; the modulus at each lag averages over all
-    admissible window pairs.  Returns (alpha, C, degenerate flag).
+    At most six lags, from 4 dt_snap up to T/8; the modulus at each lag
+    averages over all admissible window pairs.  Returns (alpha, C,
+    degenerate flag).
     """
     times = traj.times
     dt_snap = float(times[1] - times[0])
@@ -417,7 +418,7 @@ def fit_holder_exponent(traj: Trajectory, region=None, max_lags: int = 6):
     vol = traj.sgrid.cell_volume
     lags = []
     lag = 4
-    while lag * dt_snap <= t_end / 8 and len(lags) < max_lags:
+    while lag * dt_snap <= t_end / 8 and len(lags) < 6:
         lags.append(lag)
         lag *= 2
     if len(lags) < 2:

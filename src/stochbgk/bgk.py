@@ -118,7 +118,8 @@ class DefectAccumulator:
 
 @dataclass
 class Trajectory:
-    """Snapshots, norms, defect, and provenance of one run."""
+    """Snapshots, norms, defect, and provenance of one run; the picard_*
+    fields are set by picard_solve only."""
 
     sgrid: SpatialGrid
     vgrid: VelocityGrid
@@ -131,7 +132,6 @@ class Trajectory:
     spec: ProblemSpec
     config: BGKConfig
     u_snapshots: Optional[np.ndarray] = None
-    mode: str = "splitting"
     picard_ratios: Optional[list] = None
     picard_bound: Optional[float] = None
     picard_residuals: Optional[list] = None  # per window, per iteration
@@ -198,17 +198,14 @@ def _monotone_1d(padded: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.clip(a + w * (b - a), np.minimum(a, b), np.maximum(a, b))
 
 
-def _interp_monotone_1d(values: np.ndarray, feet: np.ndarray,
-                        x0: float, h: float) -> np.ndarray:
-    """Monotone linear interpolation of values (nx[, nv]) at feet."""
-    return _monotone_1d(_pad(values, 1), (feet - x0) / h)
-
-
-def _interp_monotone_2d(values: np.ndarray, feet_x: np.ndarray, feet_y: np.ndarray,
-                        x0: float, h: float) -> np.ndarray:
-    """Bilinear interpolation of values (nx, ny, nv), clamped to the corner range."""
-    (c00, c01, c10, c11), (wx, wy) = _padded_gather(
-        _pad(values, 2), ((feet_x - x0) / h, (feet_y - x0) / h))
+def _monotone(values: np.ndarray, coords) -> np.ndarray:
+    """Monotone interpolation of values (d spatial axes, then optionally the
+    v-axis) at scaled coordinates, one array per spatial axis: the clamped
+    lerp for d = 1, bilinear clamped to the corner range for d = 2."""
+    padded = _pad(values, len(coords))
+    if len(coords) == 1:
+        return _monotone_1d(padded, coords[0])
+    (c00, c01, c10, c11), (wx, wy) = _padded_gather(padded, coords)
     out = ((1 - wx) * (1 - wy) * c00 + wx * (1 - wy) * c10
            + (1 - wx) * wy * c01 + wx * wy * c11)
     lo = np.minimum(np.minimum(c00, c10), np.minimum(c01, c11))
@@ -231,15 +228,9 @@ def _transport_values(values: np.ndarray, dB: np.ndarray, dt: float,
     x0 = -sgrid.half_width + 0.5 * sgrid.h
     if np.all(fp == fp[0]):
         fp = fp[:1]
-    if sgrid.dim == 1:
-        x = sgrid.axis_centers()[:, None]
-        feet = x - dt * fp[None, :] * b_grid[:, 0][:, None] - dB[0]
-        return _interp_monotone_1d(values, feet, x0, sgrid.h)
-    c = sgrid.axis_centers()
-    X, Y = np.meshgrid(c, c, indexing="ij")
-    fx = X[:, :, None] - dt * fp[None, None, :] * b_grid[..., 0][:, :, None] - dB[0]
-    fy = Y[:, :, None] - dt * fp[None, None, :] * b_grid[..., 1][:, :, None] - dB[1]
-    return _interp_monotone_2d(values, fx, fy, x0, sgrid.h)
+    x = sgrid.centers()
+    return _monotone(values, [(x[..., a, None] - dt * fp * b_grid[..., a, None] - dB[a] - x0)
+                              / sgrid.h for a in range(sgrid.dim)])
 
 
 def transport_substep(u: KineticField, t: float, dt: float,
@@ -341,8 +332,10 @@ def _build_grids(spec: ProblemSpec, config: BGKConfig):
     return sgrid, vgrid, rho0
 
 
-def _check_pad(rho0: DensityField, spec: ProblemSpec, config: BGKConfig,
-               path: BrownianPath, v_bound: float) -> None:
+def _check_pad(rho0: DensityField, b_grid: np.ndarray, spec: ProblemSpec,
+               config: BGKConfig, path: BrownianPath, v_bound: float) -> None:
+    """Warn when the support, drifted at sup |f'| sup |b| over the grid and
+    shifted by the path's reach, can come within two cells of the box edge."""
     vals = np.abs(rho0.values)
     if not np.any(vals > 0):
         return
@@ -355,7 +348,8 @@ def _check_pad(rho0: DensityField, spec: ProblemSpec, config: BGKConfig,
     nodes = path.values_at_nodes()
     k_end = path.node_index(min(config.horizon, path.horizon))
     noise_reach = float(np.max(np.abs(nodes[: k_end + 1]))) if k_end > 0 else 0.0
-    drift = spec.f_prime_sup(v_bound) * spec.b_sup_on_grid(grid) * config.horizon
+    speed = spec.f_prime_sup(v_bound) * float(np.max(np.linalg.norm(b_grid, axis=-1)))
+    drift = speed * config.horizon
     needed = reach + drift + noise_reach + 2 * grid.h
     if needed > grid.half_width:
         warnings.warn(
@@ -384,7 +378,7 @@ class _Engine:
         self.fp = np.asarray(spec.f_prime(self.vgrid.centers()), dtype=float)
         self.alpha = math.exp(-config.dt / config.epsilon)
         self.rho_bounds = _sign_range(self.rho0.values)
-        _check_pad(self.rho0, spec, config, path, self.vgrid.bound)
+        _check_pad(self.rho0, self.b_grid, spec, config, path, self.vgrid.bound)
 
 
 def run_simulation(spec: ProblemSpec, config: BGKConfig,
@@ -439,7 +433,6 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
         spec=spec,
         config=config,
         u_snapshots=np.asarray(u_snaps) if u_snaps is not None else None,
-        mode="splitting",
     )
 
 
@@ -592,7 +585,7 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
     return Trajectory(
         sgrid=eng.sgrid, vgrid=eng.vgrid, times=times, rho=snaps,
         u_l1=u_l1, defect=defect, final_u=final_u, path=path, spec=spec,
-        config=config, mode="picard", picard_ratios=ratios, picard_bound=bound,
+        config=config, picard_ratios=ratios, picard_bound=bound,
         picard_residuals=residuals,
     )
 

@@ -2,7 +2,8 @@
 
 Subcommands: simulate, convergence, counterexample, audit, paths.  Each takes
 --config PATH plus optional --seed and --out overrides.  Exit codes: 0 all
-checks pass, 1 audit failure, 2 configuration error, 3 numerical abort.
+checks pass, 1 audit failure, 2 configuration error, 3 numerical abort,
+4 internal error (a broken solver invariant or a bug, never an audit verdict).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .counterexample import (bv_growth_experiment, cusp_data,
 from .csvio import (check_manifest, read_trajectory_csv, write_audit_csv,
                     write_defect_csv, write_manifest, write_rows,
                     write_trajectory_csv)
-from .errors import ConfigurationError, NumericalAbortError, StochBGKError
+from .errors import ConfigurationError, NumericalAbortError
 from .grids import SpatialGrid
 from .oracles import shift_reduction_oracle
 
@@ -218,9 +219,9 @@ def main(argv=None) -> int:
     except NumericalAbortError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
-    except StochBGKError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:  # a bug, not bad input or a failed audit: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -27,6 +27,8 @@ from .problem import (ProblemSpec, bump_data, burgers_flux, constant_data,
 EXPERIMENTS = ("simulate", "convergence", "counterexample", "audit", "paths")
 # presets that exist in one dimension only
 _PRESET_DIM = {"tanh": 1, "riemann": 1, "plateau": 1, "random_bv": 1, "shear": 2, "cusp_flow": 2}
+# initial data the cusp_flow field runs with: the cusp and its smooth control
+_CUSP_VARIANTS = {"cusp2d": cusp_data, "smooth": smooth_control_data}
 
 
 _MISSING = object()
@@ -44,16 +46,17 @@ def _lookup(cfg: dict, path: str):
 
 def _typed(node, path: str, typ, low=None, above=None):
     """node checked against typ (an int passes as a float, a bool only as a
-    bool) and, with low or above given, finite and >= low or > above."""
+    bool), finite, and >= low or > above when given."""
     if typ is float and isinstance(node, int) and not isinstance(node, bool):
         node = float(node)
     if not isinstance(node, typ) or (isinstance(node, bool) and typ is not bool):
         raise ConfigurationError(
             f"field '{path}' has type {type(node).__name__}, expected {typ.__name__}")
-    if (low is not None and not low <= node < math.inf
-            or above is not None and not above < node < math.inf):
-        raise ConfigurationError(f"field '{path}' is {node}, must be finite and "
-                                 + (f">= {low}" if above is None else f"> {above}"))
+    if (typ is float and not math.isfinite(node) or low is not None and not low <= node
+            or above is not None and not above < node):
+        raise ConfigurationError(f"field '{path}' is {node}, must be finite" + (
+            "" if low is None and above is None
+            else f" and >= {low}" if above is None else f" and > {above}"))
     return node
 
 
@@ -91,19 +94,16 @@ def load_config(fname) -> dict:
 
 
 def build_field(cfg: dict, dim: int):
+    """The field preset's (b, div b, sup |div b|)."""
     preset = _get(cfg, "spec.field.preset", str)
     if preset in ("zero", "constant"):
-        b, div_b, bs = constant_field(
+        return constant_field(
             [0.0] * dim if preset == "zero"
             else _list(cfg, "spec.field.c", float, [1.0] + [0.0] * (dim - 1), length=dim))
-        return (b, div_b), True, 0.0, bs
     if preset in ("tanh", "shear"):
         amp = _get(cfg, "spec.field.amplitude", float, 1.0)
         width = _get(cfg, "spec.field.width", float, 1.0, above=0.0)
-        if preset == "shear":
-            return shear_field_2d(amp, width), True, 0.0, abs(amp)
-        b, div_b, dbs = tanh_field_1d(amp, width)
-        return (b, div_b), False, dbs, abs(amp)
+        return (shear_field_2d if preset == "shear" else tanh_field_1d)(amp, width)
     raise ConfigurationError(f"field 'spec.field.preset': unknown preset '{preset}'")
 
 
@@ -145,15 +145,16 @@ def build_spec(cfg: dict) -> ProblemSpec:
             raise ConfigurationError(f"field '{path}': the preset is {want}D, grid.dim is {dim}")
     if _get(cfg, "spec.field.preset", str) == "cusp_flow":
         variant = _get(cfg, "spec.initial.preset", str, "cusp2d")
-        return cusp_flow_spec(cusp_data() if variant == "cusp2d" else smooth_control_data())
+        if variant not in _CUSP_VARIANTS:
+            raise ConfigurationError(f"field 'spec.initial.preset': the cusp_flow field "
+                                     f"takes {' or '.join(_CUSP_VARIANTS)}, not '{variant}'")
+        return cusp_flow_spec(_CUSP_VARIANTS[variant]())
     flux = _get(cfg, "spec.flux", str)
     if flux not in ("burgers", "linear"):
         raise ConfigurationError(f"field 'spec.flux': unknown preset '{flux}'")
-    flux = burgers_flux() if flux == "burgers" else linear_flux()
-    field_parts, div_free, dbs, bs = build_field(cfg, dim)
-    rho0 = build_initial(cfg, dim)
-    return make_spec(_get(cfg, "name", str, "run"), dim, flux, field_parts, rho0,
-                     div_free, div_b_sup=dbs, b_sup=bs)
+    return make_spec(_get(cfg, "name", str, "run"), dim,
+                     burgers_flux() if flux == "burgers" else linear_flux(),
+                     build_field(cfg, dim), build_initial(cfg, dim))
 
 
 def build_bgk_config(cfg: dict) -> BGKConfig:

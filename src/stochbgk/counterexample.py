@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .fields import DensityField, discrete_bv
 from .grids import SpatialGrid
-from .problem import ProblemSpec, linear_flux
+from .problem import ProblemSpec, linear_flux, make_spec
 
 
 def b1(x):
@@ -246,7 +246,6 @@ def bv_growth_experiment(data: CounterexampleData, t, resolutions):
 
 def cusp_flow_spec(data: CounterexampleData) -> ProblemSpec:
     """Linear-flux 2D spec with b = (0, b1(x) b2(y)); div b in [-1/8, 1]."""
-    f, f_prime, _ = linear_flux()
 
     def b(pts):
         out = np.zeros_like(pts)
@@ -259,29 +258,16 @@ def cusp_flow_spec(data: CounterexampleData) -> ProblemSpec:
     def rho0(grid: SpatialGrid):
         return data.sample(grid).values
 
-    return ProblemSpec(
-        name="cusp_flow",
-        dim=2,
-        f=f,
-        f_prime=f_prime,
-        b=b,
-        div_b=div_b,
-        rho0=rho0,
-        div_free=False,
-        f_prime_bounded=True,
-        div_b_sup=1.0,
-        b_sup=0.5,
-        linear_flux=True,
-    )
+    return make_spec("cusp_flow", 2, linear_flux(), (b, div_b, 1.0), rho0)
 
 
 def stochastic_counterpart(data: CounterexampleData, t, resolutions,
                            n_paths: int, master_seed: int,
-                           n_v: int = 8, dt_cells: float = 1.0,
-                           zeroed: bool = False, workers: int = 1):
+                           n_v: int = 8, zeroed: bool = False, workers: int = 1):
     """BGK runs of the same field under transport noise, per resolution.
 
-    Returns rows (n, h, mean BV at time t over paths, std, n_paths).
+    Each run takes one step per cell width, dt ~ h.  Returns rows
+    (n, h, mean BV at time t over paths, std, n_paths).
     ``zeroed`` replaces every path's increments by zeros (deterministic
     consistency control).  Aggregation is ordered by path index, so results
     do not depend on scheduling.
@@ -296,7 +282,7 @@ def stochastic_counterpart(data: CounterexampleData, t, resolutions,
     for n in resolutions:
         n = int(n)
         grid_h = 2.0 * data.radius / n
-        n_steps = max(1, int(round(t / (dt_cells * grid_h))))
+        n_steps = max(1, int(round(t / grid_h)))
         dt = t / n_steps
         config = BGKConfig(
             epsilon=2.0 * dt, dt=dt, horizon=t, half_width=data.radius,

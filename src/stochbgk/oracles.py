@@ -143,10 +143,10 @@ def linear_characteristics_oracle(spec: ProblemSpec, rho0: DensityField,
 
     Evaluates the stochastic inverse flow at every grid point and samples the
     initial profile there by linear interpolation (zero outside the box).
-    Refuses nonlinear fluxes, where transport along a single characteristic
-    family is wrong.
+    Refuses fluxes whose f' is not identically 1 on a fixed probe of
+    velocities, where transport along a single characteristic family is wrong.
     """
-    if not spec.linear_flux:
+    if not np.all(spec.f_prime(np.linspace(-4.0, 4.0, 17)) == 1.0):
         raise ConfigurationError("linear characteristics oracle needs f(r) = r")
     grid = rho0.grid
     pts = grid.centers().reshape(-1, grid.dim)

@@ -7,8 +7,9 @@ over the solver's velocity range rather than all of R.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -21,12 +22,14 @@ Array = np.ndarray
 
 @dataclass
 class ProblemSpec:
-    """Data (f, f', b, div b, rho0) with structural flags.
+    """Data (f, f', b, div b, rho0) and a bound on |div b|.
 
     ``b`` maps points of shape (..., dim) to vectors of the same shape;
     ``div_b`` maps them to scalars (...,).  ``rho0`` maps a SpatialGrid to a
-    value array.  ``div_b_sup`` must be a correct upper bound on |div b|
-    (0 for divergence-free fields); it enters the growth rate C0.
+    value array.  ``div_b_sup`` must be a correct upper bound on |div b|,
+    0 exactly for divergence-free fields; it enters the growth rate C0.
+    f' is only evaluated on the bounded velocity range, so the bound is the
+    whole of the standing hypothesis.
     """
 
     name: str
@@ -36,21 +39,16 @@ class ProblemSpec:
     b: Callable[[Array], Array]
     div_b: Callable[[Array], Array]
     rho0: Callable[[SpatialGrid], Array]
-    div_free: bool
-    f_prime_bounded: bool
     div_b_sup: float = 0.0
-    b_sup: Optional[float] = None
-    linear_flux: bool = False
 
     def __post_init__(self):
-        if self.div_free and self.div_b_sup != 0.0:
-            raise ConfigurationError("div_free spec must declare div_b_sup = 0")
-        if not self.div_free and not self.f_prime_bounded:
+        if not 0.0 <= self.div_b_sup < math.inf:
             raise ConfigurationError(
-                "hypothesis violated: need div b = 0, or bounded f' with div b in L^inf"
-            )
-        if not self.div_free and self.div_b_sup <= 0.0:
-            raise ConfigurationError("non-div-free spec must declare div_b_sup > 0")
+                f"div_b_sup is {self.div_b_sup}, must be finite and >= 0")
+
+    @property
+    def div_free(self) -> bool:
+        return self.div_b_sup == 0.0
 
     def f_prime_sup(self, v_bound: float) -> float:
         """sup |f'| over [-v_bound, v_bound], by dense sampling."""
@@ -67,12 +65,6 @@ class ProblemSpec:
         """b evaluated at all cell centers, shape (*grid.shape, dim)."""
         return np.asarray(self.b(grid.centers()), dtype=float)
 
-    def b_sup_on_grid(self, grid: SpatialGrid) -> float:
-        if self.b_sup is not None:
-            return self.b_sup
-        bg = self.b_on_grid(grid)
-        return float(np.max(np.linalg.norm(bg, axis=-1))) if bg.size else 0.0
-
     def initial_field(self, grid: SpatialGrid) -> DensityField:
         if grid.dim != self.dim:
             raise ConfigurationError(
@@ -82,18 +74,18 @@ class ProblemSpec:
 
 
 # ---------------------------------------------------------------------------
-# flux presets
+# flux presets: (f, f')
 
 def burgers_flux():
-    return (lambda r: 0.5 * r * r), (lambda r: np.asarray(r, dtype=float)), False
+    return (lambda r: 0.5 * r * r), (lambda r: np.asarray(r, dtype=float))
 
 
 def linear_flux():
-    return (lambda r: np.asarray(r, dtype=float)), (lambda r: np.ones_like(np.asarray(r, dtype=float))), True
+    return (lambda r: np.asarray(r, dtype=float)), (lambda r: np.ones_like(np.asarray(r, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
-# advecting-field presets
+# advecting-field presets: (b, div b, sup |div b|)
 
 def constant_field(c):
     """b identically equal to the vector c (divergence free)."""
@@ -105,7 +97,7 @@ def constant_field(c):
     def div_b(x):
         return np.zeros(x.shape[:-1])
 
-    return b, div_b, float(np.linalg.norm(c))
+    return b, div_b, 0.0
 
 
 def tanh_field_1d(amplitude=1.0, width=1.0):
@@ -117,7 +109,7 @@ def tanh_field_1d(amplitude=1.0, width=1.0):
     def div_b(x):
         return (amplitude / width) / np.cosh(x[..., 0] / width) ** 2
 
-    return (lambda x: b(x)), div_b, abs(amplitude / width)
+    return b, div_b, abs(amplitude / width)
 
 
 def shear_field_2d(amplitude=1.0, width=1.0):
@@ -131,7 +123,7 @@ def shear_field_2d(amplitude=1.0, width=1.0):
     def div_b(x):
         return np.zeros(x.shape[:-1])
 
-    return b, div_b
+    return b, div_b, 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -205,37 +197,22 @@ def constant_data(value=1.0):
 # ---------------------------------------------------------------------------
 # assembled spec presets
 
-def make_spec(name, dim, flux, field_parts, rho0, div_free, div_b_sup=0.0, b_sup=None):
-    f, f_prime, linear = flux
-    b, div_b = field_parts[0], field_parts[1]
-    return ProblemSpec(
-        name=name,
-        dim=dim,
-        f=f,
-        f_prime=f_prime,
-        b=b,
-        div_b=div_b,
-        rho0=rho0,
-        div_free=div_free,
-        f_prime_bounded=True,
-        div_b_sup=div_b_sup,
-        b_sup=b_sup,
-        linear_flux=linear,
-    )
+def make_spec(name, dim, flux, field, rho0):
+    """A spec from a flux preset (f, f') and a field preset (b, div b, sup |div b|)."""
+    f, f_prime = flux
+    b, div_b, div_b_sup = field
+    return ProblemSpec(name=name, dim=dim, f=f, f_prime=f_prime, b=b, div_b=div_b,
+                       rho0=rho0, div_b_sup=div_b_sup)
 
 
 def burgers_const_1d(rho0, c=1.0, name="burgers-const"):
     """Burgers flux with constant b (the x-independent-flux regime)."""
-    b, div_b, bs = constant_field([c])
-    return make_spec(name, 1, burgers_flux(), (b, div_b), rho0, True, b_sup=bs)
+    return make_spec(name, 1, burgers_flux(), constant_field([c]), rho0)
 
 
 def linear_const_1d(rho0, c=1.0, name="linear-const"):
-    b, div_b, bs = constant_field([c])
-    return make_spec(name, 1, linear_flux(), (b, div_b), rho0, True, b_sup=bs)
+    return make_spec(name, 1, linear_flux(), constant_field([c]), rho0)
 
 
 def burgers_tanh_1d(rho0, amplitude=1.0, width=1.0, name="burgers-tanh"):
-    b, div_b, dbs = tanh_field_1d(amplitude, width)
-    return make_spec(name, 1, burgers_flux(), (b, div_b), rho0, False,
-                     div_b_sup=dbs, b_sup=abs(amplitude))
+    return make_spec(name, 1, burgers_flux(), tanh_field_1d(amplitude, width), rho0)

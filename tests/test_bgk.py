@@ -8,15 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stochbgk import bgk
-from stochbgk.bgk import (BGKConfig, _interp_monotone_1d, _interp_monotone_2d,
-                          _pad, _padded_gather, _single_cell_maxwellian,
-                          accumulate_defect, epsilon_continuation, picard_solve,
-                          relax_substep, run_simulation, step, transport_substep)
-from stochbgk.brownian import sample_path
+from stochbgk.bgk import (BGKConfig, _monotone, _pad, _padded_gather,
+                          _single_cell_maxwellian, accumulate_defect,
+                          epsilon_continuation, picard_solve, relax_substep,
+                          run_simulation, step, transport_substep)
+from stochbgk.brownian import BrownianPath, sample_path
 from stochbgk.errors import ConfigurationError, StructuralViolationError
-from stochbgk.fields import (DensityField, KineticField, density_from_kinetic,
-                             kinetic_density_values, kinetic_l1, lift_density,
-                             maxwellian_cell_average)
+from stochbgk.fields import (DensityField, KineticField, check_kinetic_structure,
+                             density_from_kinetic, kinetic_density_values, kinetic_l1,
+                             lift_density, maxwellian_cell_average)
 from stochbgk.grids import SpatialGrid, VelocityGrid
 from stochbgk.problem import (burgers_const_1d, burgers_tanh_1d, bump_data,
                               linear_const_1d, plateau_data)
@@ -102,16 +102,16 @@ class TestKernels:
         feet = np.array([[x0 - k * h for k in self.OFFSETS]
                          + [x_last + k * h for k in self.OFFSETS]] * n)
         kinetic = np.ones((n, feet.shape[1]))
-        assert np.all(_interp_monotone_1d(kinetic, feet, x0, h) == 0.0)
+        assert np.all(_monotone(kinetic, ((feet - x0) / h,)) == 0.0)
         density = np.ones(n)  # Picard gathers a 1-D rho at (n_v, n) feet
-        assert np.all(_interp_monotone_1d(density, feet, x0, h) == 0.0)
+        assert np.all(_monotone(density, ((feet - x0) / h,)) == 0.0)
 
     def test_1d_one_cell_outside_reads_edge_neighbour(self):
         n, h, x0 = 16, 0.25, -1.875
         feet = np.full((n, 2), x0 - 0.5 * h)
         feet[:, 1] = x0 + (n - 0.5) * h
         vals = np.ones((n, 2))
-        assert np.all(_interp_monotone_1d(vals, feet, x0, h) == 0.5)
+        assert np.all(_monotone(vals, ((feet - x0) / h,)) == 0.5)
 
     def test_2d_feet_far_outside_read_zero(self):
         n, h, x0 = 8, 0.25, -0.875
@@ -125,8 +125,8 @@ class TestKernels:
         fy = np.array([p[1] for p in pairs])
         nv = len(pairs)
         shape = (n, n, nv)
-        out = _interp_monotone_2d(np.ones(shape), np.broadcast_to(fx, shape),
-                                  np.broadcast_to(fy, shape), x0, h)
+        out = _monotone(np.ones(shape), (np.broadcast_to((fx - x0) / h, shape),
+                                         np.broadcast_to((fy - x0) / h, shape)))
         assert np.all(out == 0.0)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -156,12 +156,12 @@ class TestKernels:
         c = grid.axis_centers()
         if d == 1:
             feet = c[:, None] - dt * fp[None, :] * b_grid[:, 0][:, None] - dB[0]
-            ref = _interp_monotone_1d(values, feet, x0, grid.h)
+            ref = _monotone(values, ((feet - x0) / grid.h,))
         else:
             X, Y = np.meshgrid(c, c, indexing="ij")
             fx = X[:, :, None] - dt * fp[None, None, :] * b_grid[..., 0][:, :, None] - dB[0]
             fy = Y[:, :, None] - dt * fp[None, None, :] * b_grid[..., 1][:, :, None] - dB[1]
-            ref = _interp_monotone_2d(values, fx, fy, x0, grid.h)
+            ref = _monotone(values, ((fx - x0) / grid.h, (fy - x0) / grid.h))
         out = bgk._transport_values(values, dB, dt, grid, fp, b_grid)
         assert out.shape == ref.shape == values.shape
         assert out.tobytes() == ref.tobytes()
@@ -204,8 +204,8 @@ class TestKernelProperties:
         n, nv = self.N, 3
         feet = self._feet(data, (n, nv))
         values = np.random.default_rng(data.draw(st.integers(0, 99))).uniform(-1, 1, (n, nv))
-        out = _interp_monotone_1d(values, feet, self.X0, self.H)
         s = (feet - self.X0) / self.H
+        out = _monotone(values, (s,))
         for i in range(n):
             for j in range(nv):
                 k = math.floor(s[i, j])
@@ -217,8 +217,8 @@ class TestKernelProperties:
         n = self.N
         feet = self._feet(data, (data.draw(st.integers(1, 40)),))
         values = np.random.default_rng(data.draw(st.integers(0, 99))).uniform(-1, 1, n)
-        out = _interp_monotone_1d(values, feet, self.X0, self.H)
         s = (feet - self.X0) / self.H
+        out = _monotone(values, (s,))
         for p, sp in enumerate(s):
             k = math.floor(sp)
             assert out[p] == _lerp_point(_read(values, k), _read(values, k + 1), sp - k)
@@ -228,8 +228,8 @@ class TestKernelProperties:
         n, nv = self.N, 2
         fx, fy = self._feet(data, (n, n, nv)), self._feet(data, (n, n, nv))
         values = np.random.default_rng(data.draw(st.integers(0, 99))).uniform(-1, 1, (n, n, nv))
-        out = _interp_monotone_2d(values, fx, fy, self.X0, self.H)
         sx, sy = (fx - self.X0) / self.H, (fy - self.X0) / self.H
+        out = _monotone(values, (sx, sy))
         for idx in np.ndindex(out.shape):
             i, j = math.floor(sx[idx]), math.floor(sy[idx])
             wx, wy = sx[idx] - i, sy[idx] - j
@@ -410,6 +410,26 @@ class TestRun:
             u = step(u, k * dt, cfg, path, spec)
         assert u.values.tobytes() == traj.final_u.values.tobytes()
 
+    @given(levels=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=8).filter(
+               lambda lv: min(lv) < 0.0 < max(lv)),
+           width=st.integers(1, 8), start=st.integers(0, 63),
+           dB=st.floats(-1.0, 1.0), amplitude=st.floats(-2.0, 2.0),
+           n_v=st.sampled_from([4, 16]))
+    def test_step_keeps_sign_structure_and_max_principle(self, levels, width, start, dB,
+                                                         amplitude, n_v):
+        grid = SpatialGrid(dim=1, half_width=2.0, n=64)
+        rho0 = np.zeros(grid.n)
+        piece = np.repeat(levels, width)[:grid.n - start]
+        rho0[start:start + piece.size] = piece
+        spec = burgers_tanh_1d(lambda g: rho0, amplitude=amplitude)
+        dt = 0.01
+        cfg = BGKConfig(epsilon=0.02, dt=dt, horizon=dt, half_width=2.0, n=grid.n, n_v=n_v)
+        path = BrownianPath(dim=1, dt=dt, horizon=dt, increments=[[dB]], seed=0)
+        u0 = lift_density(DensityField(grid, rho0), VelocityGrid.for_density_bound(1.0, n_v))
+        out = step(u0, 0.0, cfg, path, spec)
+        check_kinetic_structure(out, tol=0.0)
+        assert np.max(np.abs(density_from_kinetic(out).values)) <= np.max(np.abs(rho0))
+
     def test_max_principle_exact_over_run(self):
         traj, _, _ = self._run()
         assert np.max(np.abs(traj.rho)) <= np.max(np.abs(traj.rho[0]))
@@ -467,7 +487,7 @@ class TestRun:
     def test_2d_run_and_max_principle(self):
         from stochbgk.problem import make_spec, linear_flux, shear_field_2d
         spec = make_spec("shear", 2, linear_flux(), shear_field_2d(0.5, 1.0),
-                         bump_data((0.0, 0.0), 1.0, 0.9), True, b_sup=0.5)
+                         bump_data((0.0, 0.0), 1.0, 0.9))
         T = 0.1
         cfg = BGKConfig(epsilon=0.02, dt=0.01, horizon=T, half_width=3.0,
                         n=48, n_v=8, snapshot_stride=5)

@@ -1,6 +1,7 @@
 """CLI driver: schema validation, bundles, determinism, exit codes."""
 
 import json
+import math
 import os
 import pathlib
 
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stochbgk import cli
 from stochbgk.cli import main
 from stochbgk.config import validate_run_config
-from stochbgk.errors import ConfigurationError
+from stochbgk.errors import ConfigurationError, StructuralViolationError
 
 SIM_CFG = {
     "experiment": "simulate",
@@ -120,6 +122,8 @@ class TestValidation:
         "simulate": SIM_CFG,
         "tanh": _edited(SIM_CFG, "spec.field", {"preset": "tanh"}),
         "random_bv": _edited(SIM_CFG, "spec.initial", {"preset": "random_bv"}),
+        "cusp": _edited(_edited(_edited(SIM_CFG, "spec.field", {"preset": "cusp_flow"}),
+                                "spec.initial", {"preset": "cusp2d"}), "grid.dim", 2),
         "convergence": CONV_CFG,
         "counterexample": CE_CFG,
         "paths": PATHS_CFG,
@@ -146,11 +150,14 @@ class TestValidation:
         ("simulate", "bgk.picard_max_iters", 2.5),
         ("simulate", "bgk.horizon", 0.001),
         ("simulate", "spec.initial.height", "tall"),
+        ("simulate", "spec.initial.height", math.inf),
+        ("tanh", "spec.field.amplitude", math.nan),
         ("simulate", "spec.field.c", "x"),
         ("simulate", "spec.field.c", ["a"]),
         ("simulate", "spec.field.c", 5),
         ("random_bv", "spec.initial.support", [1.0]),
         ("tanh", "spec.field.width", 0),
+        ("cusp", "spec.initial.preset", "cusp2D"),
         ("simulate", "audit.entropy_tol", "big"),
         ("simulate", "audit.entropy_tol", -1.0),
         ("convergence", "convergence.levels", "three"),
@@ -172,6 +179,24 @@ class TestValidation:
         assert rc == 2
         assert f"'{path}" in capsys.readouterr().err
         assert not out.exists()  # rejected before any work
+
+    @pytest.mark.parametrize("variant", ["cusp2d", "smooth"])
+    def test_cusp_flow_variants_validate(self, variant):
+        validate_run_config(_edited(self.BASES["cusp"], "spec.initial.preset", variant))
+
+    @pytest.mark.parametrize("exc", [ValueError("a bug"),
+                                     StructuralViolationError("defect prefix reached -1")],
+                             ids=["ValueError", "StructuralViolationError"])
+    def test_internal_error_exits_4_on_one_line(self, tmp_path, capsys, monkeypatch, exc):
+        def broken(cfg, seed, out):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_simulate", broken)
+        rc = main(["simulate", "--config", _write(tmp_path, SIM_CFG),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err == f"internal error: {type(exc).__name__}: {exc}\n"
 
     def test_missing_config_file_exits_2_naming_it(self, tmp_path, capsys):
         missing, out = tmp_path / "absent.json", tmp_path / "o"

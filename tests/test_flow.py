@@ -10,28 +10,17 @@ from stochbgk.problem import (ProblemSpec, burgers_flux, constant_field,
                               linear_flux, make_spec)
 
 
-def _spec_1d(field_parts, div_free=True, div_b_sup=0.0, flux=None):
-    flux = flux or linear_flux()
-    return make_spec("flow-test", 1, flux, field_parts,
-                     lambda g: np.zeros(g.shape), div_free, div_b_sup=div_b_sup)
-
-
-def _zero_field():
-    b, div_b, _ = constant_field([0.0])
-    return b, div_b
-
-
-def _const_field(c):
-    b, div_b, _ = constant_field([c])
-    return b, div_b
+def _spec_1d(field, flux=None):
+    return make_spec("flow-test", 1, flux or linear_flux(), field,
+                     lambda g: np.zeros(g.shape))
 
 
 def _sin_field():
-    return (lambda x: np.sin(x)), (lambda x: np.cos(x[..., 0]))
+    return (lambda x: np.sin(x)), (lambda x: np.cos(x[..., 0])), 1.0
 
 
 def test_pure_brownian_shift():
-    spec = _spec_1d(_zero_field())
+    spec = _spec_1d(constant_field([0.0]))
     path = sample_path(4, 1e-3, 1.0, dim=1)
     q = FlowQuery(0.2, 0.8, np.array([0.3]), velocity=1.0)
     out = flow_forward(q, path, spec)
@@ -40,7 +29,7 @@ def test_pure_brownian_shift():
 
 
 def test_zero_velocity_removes_drift():
-    spec = _spec_1d(_const_field(5.0), flux=burgers_flux())  # f'(0) = 0
+    spec = _spec_1d(constant_field([5.0]), flux=burgers_flux())  # f'(0) = 0
     path = sample_path(4, 1e-3, 1.0, dim=1)
     q = FlowQuery(0.0, 1.0, np.array([0.0]), velocity=0.0)
     out = flow_forward(q, path, spec)
@@ -48,7 +37,7 @@ def test_zero_velocity_removes_drift():
 
 
 def test_constant_drift_is_exact():
-    spec = _spec_1d(_const_field(2.0))
+    spec = _spec_1d(constant_field([2.0]))
     path = sample_path(4, 1e-3, 1.0, dim=1)
     q = FlowQuery(0.1, 0.9, np.array([-0.5]), velocity=0.7)
     out = flow_forward(q, path, spec)
@@ -57,7 +46,7 @@ def test_constant_drift_is_exact():
 
 
 def test_inverse_is_exact_for_zero_field():
-    spec = _spec_1d(_zero_field())
+    spec = _spec_1d(constant_field([0.0]))
     path = sample_path(4, 1e-3, 1.0, dim=1)
     q = FlowQuery(0.2, 0.8, np.array([0.3]), velocity=1.0)
     out = flow_inverse(q, path, spec)
@@ -66,7 +55,7 @@ def test_inverse_is_exact_for_zero_field():
 
 
 def test_identity_at_equal_times():
-    spec = _spec_1d(_sin_field(), div_free=False, div_b_sup=1.0)
+    spec = _spec_1d(_sin_field())
     path = sample_path(4, 1e-3, 1.0, dim=1)
     x = np.array([0.4])
     assert np.allclose(flow_forward(FlowQuery(0.5, 0.5, x, 1.0), path, spec), x)
@@ -75,7 +64,7 @@ def test_identity_at_equal_times():
 
 
 def test_round_trip_bound_and_halving():
-    spec = _spec_1d(_sin_field(), div_free=False, div_b_sup=1.0)
+    spec = _spec_1d(_sin_field())
     xs = np.linspace(-1.5, 1.5, 7)[:, None]
     errs = []
     for dt in (1e-3, 5e-4):
@@ -88,7 +77,7 @@ def test_round_trip_bound_and_halving():
 
 
 def test_semigroup_composition_exact_on_nodes():
-    spec = _spec_1d(_sin_field(), div_free=False, div_b_sup=1.0)
+    spec = _spec_1d(_sin_field())
     path = sample_path(8, 1e-3, 1.0, dim=1)
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -102,7 +91,7 @@ def test_semigroup_composition_exact_on_nodes():
 
 
 def test_monotone_in_1d():
-    spec = _spec_1d(_sin_field(), div_free=False, div_b_sup=1.0)
+    spec = _spec_1d(_sin_field())
     path = sample_path(9, 1e-3, 1.0, dim=1)
     xs = np.linspace(-2, 2, 41)[:, None]
     out = flow_forward(FlowQuery(0.0, 1.0, xs, 1.0), path, spec)
@@ -116,15 +105,14 @@ def test_direction_validation():
 
 class TestJacobian:
     def test_divergence_free_is_exactly_one(self):
-        spec = _spec_1d(_const_field(3.0))
+        spec = _spec_1d(constant_field([3.0]))
         path = sample_path(4, 1e-3, 1.0, dim=1)
         out = jacobian_determinant(FlowQuery(0.0, 1.0, np.array([0.2]), 1.0),
                                    path, spec)
         assert np.all(out == 1.0)
 
     def test_zero_velocity_is_exactly_one(self):
-        spec = _spec_1d(_sin_field(), div_free=False, div_b_sup=1.0,
-                        flux=burgers_flux())
+        spec = _spec_1d(_sin_field(), flux=burgers_flux())
         path = sample_path(4, 1e-3, 1.0, dim=1)
         out = jacobian_determinant(FlowQuery(0.0, 1.0, np.array([0.2]), 0.0),
                                    path, spec)
@@ -132,8 +120,7 @@ class TestJacobian:
 
     def test_linear_field_exponential(self):
         # b(x) = x has div b = 1: Jacobian e^(t-s) regardless of noise
-        field = ((lambda x: x), (lambda x: np.ones(x.shape[:-1])))
-        spec = _spec_1d(field, div_free=False, div_b_sup=1.0)
+        spec = _spec_1d(((lambda x: x), (lambda x: np.ones(x.shape[:-1])), 1.0))
         path = sample_path(4, 1e-3, 1.0, dim=1)
         out = jacobian_determinant(FlowQuery(0.2, 0.9, np.array([0.4]), 1.0),
                                    path, spec)

@@ -8,25 +8,28 @@ from stochbgk.grids import SpatialGrid
 from stochbgk.problem import (ProblemSpec, burgers_const_1d, burgers_flux,
                               burgers_tanh_1d, bump_data, constant_field,
                               linear_flux, plateau_data, random_bv_data,
-                              riemann_data)
+                              riemann_data, shear_field_2d, tanh_field_1d)
 
 
-def test_hypothesis_requires_bound_or_divfree():
+@pytest.mark.parametrize("div_b_sup", [-0.5, np.inf, np.nan])
+def test_div_b_sup_must_be_finite_and_nonnegative(div_b_sup):
     b, div_b, _ = constant_field([1.0])
-    f, fp, _ = burgers_flux()
-    with pytest.raises(ConfigurationError):
+    f, fp = burgers_flux()
+    with pytest.raises(ConfigurationError, match="div_b_sup"):
         ProblemSpec(name="bad", dim=1, f=f, f_prime=fp, b=b, div_b=div_b,
-                    rho0=lambda g: np.zeros(g.shape), div_free=False,
-                    f_prime_bounded=False, div_b_sup=1.0)
+                    rho0=lambda g: np.zeros(g.shape), div_b_sup=div_b_sup)
 
 
-def test_divfree_must_declare_zero_sup():
-    b, div_b, _ = constant_field([1.0])
-    f, fp, _ = burgers_flux()
-    with pytest.raises(ConfigurationError):
-        ProblemSpec(name="bad", dim=1, f=f, f_prime=fp, b=b, div_b=div_b,
-                    rho0=lambda g: np.zeros(g.shape), div_free=True,
-                    f_prime_bounded=True, div_b_sup=0.5)
+def test_zero_bound_is_div_free():
+    # amplitude 0 is b = 0, and its zero bound makes the spec divergence free
+    assert burgers_tanh_1d(plateau_data(), amplitude=0.0).div_free
+
+
+def test_presets_have_one_shape():
+    assert all(len(flux()) == 2 for flux in (burgers_flux, linear_flux))
+    fields = (constant_field([1.0]), tanh_field_1d(0.5, 2.0), shear_field_2d(0.5, 1.0))
+    assert all(len(field) == 3 for field in fields)
+    assert [field[2] for field in fields] == [0.0, 0.25, 0.0]
 
 
 def test_growth_rate_zero_when_divfree():
