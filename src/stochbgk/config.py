@@ -103,7 +103,12 @@ def build_field(cfg: dict, dim: int):
     if preset in ("tanh", "shear"):
         amp = _get(cfg, "spec.field.amplitude", float, 1.0)
         width = _get(cfg, "spec.field.width", float, 1.0, above=0.0)
-        return (shear_field_2d if preset == "shear" else tanh_field_1d)(amp, width)
+        field = (shear_field_2d if preset == "shear" else tanh_field_1d)(amp, width)
+        if not math.isfinite(field[2]):
+            raise ConfigurationError(
+                f"fields 'spec.field.amplitude' and 'spec.field.width': the bound "
+                f"|amplitude/width| = {amp!r}/{width!r} overflows")
+        return field
     raise ConfigurationError(f"field 'spec.field.preset': unknown preset '{preset}'")
 
 

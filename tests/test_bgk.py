@@ -1,5 +1,6 @@
 """BGK engine: substeps, defect accumulation, full runs, Picard mode."""
 
+import itertools
 import math
 
 import numpy as np
@@ -650,54 +651,99 @@ class TestPicard:
         gap = float(np.sum(np.abs(a.rho[-1] - b.rho[-1])) * a.sgrid.h)
         assert gap <= 0.01
 
-    @pytest.mark.parametrize("spec, window, n, n_v, half_width, seed", [
+    @pytest.mark.parametrize("spec, window, n, n_v, half_width, seed, max_iters", [
         (burgers_const_1d(lambda g: 0.8 * np.sin(np.pi * g.axis_centers() / 1.5)
-                          * (np.abs(g.axis_centers()) <= 1.5), c=1.0), 0.1, 128, 16, 3.0, 4),
-        (burgers_const_1d(plateau_data(1.0, -1.0, 0.0), c=1.0), 0.05, 128, 16, 3.0, 8),
+                          * (np.abs(g.axis_centers()) <= 1.5), c=1.0), 0.1, 128, 16, 3.0, 4,
+         None),
+        (burgers_const_1d(plateau_data(1.0, -1.0, 0.0), c=1.0), 0.05, 128, 16, 3.0, 8, None),
         (burgers_tanh_1d(bump_data(0.0, 1.5, 0.9), amplitude=1.0, width=0.5),
-         0.05, 128, 16, 3.0, 5),
-        (linear_const_1d(bump_data(1.4, 1.0, 0.9), c=8.0), 0.1, 64, 8, 2.0, 11),
-    ], ids=["sign-changing", "two-windows", "x-dependent-b", "feet-leave-box"])
+         0.05, 128, 16, 3.0, 5, None),
+        (linear_const_1d(bump_data(1.4, 1.0, 0.9), c=8.0), 0.1, 64, 8, 2.0, 11, None),
+        # stops after 5 sweeps of a 16-step window, before every row is final
+        (burgers_const_1d(bump_data(-0.5, 1.2, 0.8), c=1.0), 0.1, 128, 16, 3.0, 3, 5),
+        (burgers_const_1d(bump_data(-0.5, 1.2, 0.8), c=1.0), 0.1 / 16, 128, 16, 3.0, 6,
+         None),
+        # windows of 5, 5, 5 and 1 steps
+        (burgers_tanh_1d(bump_data(0.0, 1.5, 0.9), amplitude=1.0, width=0.5),
+         0.1 * 5 / 16, 128, 16, 3.0, 9, None),
+    ], ids=["sign-changing", "two-windows", "x-dependent-b", "feet-leave-box",
+            "max-iters-before-frozen", "one-step-window", "short-last-window"])
     def test_matches_reference_loop_bit_for_bit(self, spec, window, n, n_v,
-                                                half_width, seed):
+                                                half_width, seed, max_iters):
         T = 0.1
         dt = T / 16
         cfg = BGKConfig(epsilon=0.05, dt=dt, horizon=T, half_width=half_width,
                         n=n, n_v=n_v, window=window, picard_tol=1e-10,
-                        snapshot_stride=4)
+                        snapshot_stride=4, picard_max_iters=max_iters or 200)
         path = sample_path(seed, dt, T, dim=1)
-        traj = picard_solve(spec, cfg, path)
+        if max_iters is None:
+            traj = picard_solve(spec, cfg, path)
+        else:
+            with pytest.warns(UserWarning, match="max_iters"):
+                traj = picard_solve(spec, cfg, path)
         rho, final_u, ratios = _reference_picard(spec, cfg, path)
         assert traj.rho.tobytes() == rho.tobytes()
         assert np.asarray(traj.final_u.values).tobytes() == final_u.tobytes()
         assert np.asarray(traj.picard_ratios).tobytes() == ratios.tobytes()
         # one residual history per window; the ratios are its quotients
-        assert len(traj.picard_residuals) == round(T / window)
+        assert len(traj.picard_residuals) == len(range(0, 16, round(window / dt)))
         assert traj.picard_ratios == [b / a for r in traj.picard_residuals
                                       for a, b in zip(r, r[1:])]
-        assert all(r[-1] < cfg.picard_tol for r in traj.picard_residuals)
+        if max_iters is None:
+            assert all(r[-1] < cfg.picard_tol for r in traj.picard_residuals)
+        else:
+            assert [len(r) for r in traj.picard_residuals] == [max_iters]
+            assert traj.picard_residuals[0][-1] >= cfg.picard_tol
+
+    @pytest.mark.parametrize("steps, tol, sweeps", [(16, 1e-10, 13), (8, 1e-14, 9)],
+                             ids=["tolerance-stops", "every-row-freezes"])
+    def test_sweep_k_evaluates_only_the_unfrozen_pairs(self, monkeypatch, steps, tol,
+                                                       sweeps):
+        # sweep k evaluates pairs (m, l) with k <= l < m only: rows 0..k and
+        # the pair terms with l < k are final from earlier sweeps
+        real, calls = bgk._single_cell_maxwellian, [0]
+
+        def counted(rho, vgrid):
+            calls[0] += 1
+            return real(rho, vgrid)
+
+        monkeypatch.setattr(bgk, "_single_cell_maxwellian", counted)
+        spec = burgers_const_1d(bump_data(-0.5, 1.0, 0.8), c=1.0)
+        T = 0.1
+        cfg = BGKConfig(epsilon=0.05, dt=T / steps, horizon=T, half_width=3.0, n=64,
+                        n_v=8, window=T, picard_tol=tol)
+        traj = picard_solve(spec, cfg, sample_path(4, cfg.dt, T, dim=1))
+        assert [len(r) for r in traj.picard_residuals] == [sweeps]
+        # a sweep k >= steps evaluates nothing
+        assert calls[0] == sum((steps - k) * (steps - k + 1) // 2
+                               for k in range(min(sweeps, steps)))
 
     @staticmethod
-    def _lifted_picard(monkeypatch, lifts, max_iters):
-        """Two windows of four steps; every density of iteration i (counted
-        over both windows) is lifted by lifts[i], which makes the residuals
-        grow where the lifts grow faster than the iteration contracts."""
+    def _lifted_picard(monkeypatch, lifts, max_iters, window_steps):
+        """Eight steps in windows of window_steps; every density of sweep i
+        (counted over all windows) is lifted by lifts[i], which makes the
+        residuals grow where the lifts grow faster than the iteration
+        contracts.  Sweep k of a window computes rows k+1..window_steps only,
+        so it makes window_steps - k calls; every window here runs all
+        max_iters <= window_steps sweeps or aborts."""
         real = bgk.kinetic_density_values
         lifts = iter(lifts)
-        state = {"calls": 0, "lift": 0.0}
+        sweep_calls = itertools.cycle(range(window_steps, window_steps - max_iters, -1))
+        state = {"left": 0, "lift": 0.0}
 
         def lifted(values, dv):
-            if state["calls"] % 4 == 0:  # called once per (iteration, m)
+            if state["left"] == 0:  # first call of a sweep
+                state["left"] = next(sweep_calls)
                 state["lift"] = next(lifts, state["lift"])
-            state["calls"] += 1
+            state["left"] -= 1
             return real(values, dv) + state["lift"]
 
         monkeypatch.setattr(bgk, "kinetic_density_values", lifted)
         spec = burgers_const_1d(bump_data(-0.5, 1.0, 0.4), c=1.0)
         T = 0.1
         cfg = BGKConfig(epsilon=0.05, dt=T / 8, horizon=T, half_width=3.0, n=64,
-                        n_v=8, v_bound=1.0, window=T / 2, picard_tol=1e-14,
-                        picard_max_iters=max_iters)
+                        n_v=8, v_bound=1.0, window=window_steps * T / 8,
+                        picard_tol=1e-14, picard_max_iters=max_iters)
         return picard_solve(spec, cfg, sample_path(2, cfg.dt, T, dim=1))
 
     def test_divergence_guard_reads_one_window(self, monkeypatch):
@@ -705,14 +751,17 @@ class TestPicard:
         # third: three in a row across the boundary, which must not abort
         with pytest.warns(UserWarning, match="max_iters"):
             traj = self._lifted_picard(
-                monkeypatch, [0.0, 0.0, 0.01, 0.03, 0.03, 0.09], max_iters=4)
+                monkeypatch, [0.0, 0.0, 0.01, 0.03, 0.03, 0.09], max_iters=4,
+                window_steps=4)
         grows = [[b > a for a, b in zip(r, r[1:])] for r in traj.picard_residuals]
         assert grows == [[False, True, True], [True, False, False]]
         assert len(traj.picard_ratios) == 6
 
     def test_divergence_guard_aborts_within_a_window(self, monkeypatch):
+        # one window of eight steps, so no row freezes before the third growth
         with pytest.raises(ConfigurationError, match="diverges"):
-            self._lifted_picard(monkeypatch, [0.0, 0.0, 0.01, 0.03, 0.07], max_iters=5)
+            self._lifted_picard(monkeypatch, [0.0, 0.0, 0.01, 0.03, 0.07, 0.15],
+                                max_iters=6, window_steps=8)
 
     def test_max_principle_in_picard_mode(self):
         spec = burgers_const_1d(plateau_data(1.0, -1.0, 0.0), c=1.0)

@@ -180,6 +180,17 @@ class TestValidation:
         assert f"'{path}" in capsys.readouterr().err
         assert not out.exists()  # rejected before any work
 
+    def test_overflowing_field_bound_exits_2_naming_both_keys(self, tmp_path, capsys):
+        # each value is finite and in range; only their quotient overflows
+        cfg = _edited(SIM_CFG, "spec.field",
+                      {"preset": "tanh", "amplitude": 1e300, "width": 1e-10})
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'spec.field.amplitude'" in err and "'spec.field.width'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("variant", ["cusp2d", "smooth"])
     def test_cusp_flow_variants_validate(self, variant):
         validate_run_config(_edited(self.BASES["cusp"], "spec.initial.preset", variant))
