@@ -9,12 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stochbgk import bgk
-from stochbgk.bgk import (BGKConfig, _monotone, _pad, _padded_gather,
+from stochbgk.bgk import (BGKConfig, DefectAccumulator, _monotone, _pad, _padded_gather,
                           _single_cell_maxwellian, accumulate_defect,
                           epsilon_continuation, picard_solve, relax_substep,
                           run_simulation, step, transport_substep)
 from stochbgk.brownian import BrownianPath, sample_path
-from stochbgk.errors import ConfigurationError, StructuralViolationError
+from stochbgk.counterexample import cusp_data, cusp_flow_spec
+from stochbgk.errors import ConfigurationError, NumericalAbortError, StructuralViolationError
 from stochbgk.fields import (DensityField, KineticField, check_kinetic_structure,
                              density_from_kinetic, kinetic_density_values, kinetic_l1,
                              lift_density, maxwellian_cell_average)
@@ -163,7 +164,7 @@ class TestKernels:
             fx = X[:, :, None] - dt * fp[None, None, :] * b_grid[..., 0][:, :, None] - dB[0]
             fy = Y[:, :, None] - dt * fp[None, None, :] * b_grid[..., 1][:, :, None] - dB[1]
             ref = _monotone(values, ((fx - x0) / grid.h, (fy - x0) / grid.h))
-        out = bgk._transport_values(values, dB, dt, grid, fp, b_grid)
+        out = bgk._transport_values(values, dB, dt, grid, fp, b_grid, (slice(0, n),) * d)
         assert out.shape == ref.shape == values.shape
         assert out.tobytes() == ref.tobytes()
 
@@ -407,9 +408,17 @@ class TestRun:
         path = sample_path(3, dt, cfg.horizon, dim=1)
         traj = run_simulation(spec, cfg, path)
         u = lift_density(traj.initial(), traj.vgrid)
+        bounds = (min(0.0, traj.rho[0].min()), max(0.0, traj.rho[0].max()))
+        rho, u_l1 = [traj.rho[0]], [kinetic_l1(u)]
         for k in range(cfg.n_steps):
+            # the engine's snapshot is the frozen density of the transported state
+            u_tilde = transport_substep(u, k * dt, dt, path, spec)
+            rho.append(np.clip(density_from_kinetic(u_tilde).values, *bounds))
             u = step(u, k * dt, cfg, path, spec)
+            u_l1.append(kinetic_l1(u))
         assert u.values.tobytes() == traj.final_u.values.tobytes()
+        assert np.asarray(rho).tobytes() == traj.rho.tobytes()
+        assert np.asarray(u_l1).tobytes() == traj.u_l1.tobytes()
 
     @given(levels=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=8).filter(
                lambda lv: min(lv) < 0.0 < max(lv)),
@@ -498,6 +507,19 @@ class TestRun:
         masses = np.sum(traj.rho, axis=(1, 2)) * traj.sgrid.cell_volume
         assert np.all(np.abs(masses - masses[0]) <= 1e-8 * abs(masses[0]))
 
+    def test_non_finite_increment_aborts(self):
+        spec = burgers_const_1d(plateau_data(1.0, -1.0, 0.0), c=1.0)
+        dt = 0.01
+        cfg = BGKConfig(epsilon=0.02, dt=dt, horizon=4 * dt, half_width=3.0, n=64, n_v=8)
+        for bad in (math.inf, math.nan):
+            increments = sample_path(5, dt, cfg.horizon, dim=1).increments.copy()
+            increments[1, 0] = bad
+            path = BrownianPath(dim=1, dt=dt, horizon=cfg.horizon, increments=increments,
+                                seed=5)
+            with np.errstate(invalid="ignore"), pytest.raises(NumericalAbortError) as err:
+                run_simulation(spec, cfg, path)
+            assert err.value.step == 2
+
     def test_path_resolution_mismatch_rejected(self):
         spec = burgers_const_1d(plateau_data(1.0, -1.0, 0.0), c=1.0)
         cfg = BGKConfig(epsilon=0.02, dt=0.01, horizon=0.1, half_width=3.0,
@@ -505,6 +527,149 @@ class TestRun:
         path = sample_path(1, 0.02, 0.1, dim=1)
         with pytest.raises(ConfigurationError):
             run_simulation(spec, cfg, path)
+
+
+def _full_box_run(spec, cfg, path):
+    """run_simulation rebuilt from the public full-box substeps: transport,
+    relaxation clipped to the sign range of rho0, the defect prefix, and
+    slabs closed at the snapshot stride.  Returns the snapshot densities,
+    u_l1 and kinetic states, the final state and the defect accumulator."""
+    grid = SpatialGrid(dim=spec.dim, half_width=cfg.half_width, n=cfg.n)
+    rho0 = spec.initial_field(grid)
+    vg = VelocityGrid.for_density_bound(
+        cfg.v_bound if cfg.v_bound is not None else rho0.linf(), cfg.n_v)
+    bounds = bgk._sign_range(rho0.values)
+    u = lift_density(rho0, vg)
+    defect = DefectAccumulator(grid.cell_volume, vg.dv, fields=[])
+    full = (slice(0, cfg.n),) * spec.dim
+    dt, eps = cfg.dt, cfg.epsilon
+    rho, u_l1, u_snaps = [rho0.values], [kinetic_l1(u)], [u.values]
+    for k in range(cfg.n_steps):
+        u_tilde = transport_substep(u, k * dt, dt, path, spec)
+        u_next = relax_substep(u_tilde, eps, dt, bounds)
+        prefix = accumulate_defect(u_tilde, u_next, eps, dt)
+        # the prefix before accumulate_defect's clamp
+        raw = vg.dv * np.cumsum(u_next.values - u_tilde.values, axis=-1)
+        defect.accumulate(prefix, float(raw.min()), k * dt, prefix.shape, full)
+        u = u_next
+        if (k + 1) % cfg.snapshot_stride == 0 or k + 1 == cfg.n_steps:
+            defect.close_slab((k + 1) * dt)
+            rho.append(np.clip(density_from_kinetic(u_tilde).values, *bounds))
+            u_l1.append(kinetic_l1(u))
+            u_snaps.append(u.values)
+    return np.asarray(rho), np.asarray(u_l1), np.asarray(u_snaps), u, defect
+
+
+def _window_case(kind, data):
+    """(spec, config, path) of one support-window scenario."""
+    stride = data.draw(st.integers(1, 4))
+    if kind == "cusp2d":
+        n = data.draw(st.sampled_from([16, 24, 32]))
+        steps = max(1, round(n / 6.0))
+        cfg = BGKConfig(epsilon=2.0 / steps, dt=1.0 / steps, horizon=1.0, half_width=3.0,
+                        n=n, n_v=data.draw(st.sampled_from([4, 8])), snapshot_stride=stride,
+                        store_kinetic=True, store_defect_field=True)
+        path = sample_path(data.draw(st.integers(0, 999)), cfg.dt, 1.0, dim=2)
+        return cusp_flow_spec(cusp_data()), cfg, path
+    n, dt = data.draw(st.sampled_from([48, 512])), 1.0 / 64  # 512: window extents of 4k
+    steps = data.draw(st.integers(1, 12))
+    # far feet: 6 > the box width 4; a fast drift moves the support up to 8
+    # cells a step, beyond the reach's margin of 2, with no noise
+    scale = {"far_feet": 6.0, "fast_drift": 0.0}.get(kind, 0.3)
+    increments = np.array(data.draw(st.lists(st.floats(-scale, scale), min_size=steps,
+                                             max_size=steps)))[:, None]
+    v_bound = None
+    if kind == "rho_zero":
+        # +1/4 beside -1/4 with dv = 1/2: one v-cell each side, |f'| = 1/4 there,
+        # and b = 16 moves both half a cell in one noiseless step, so both
+        # cells end with rho = 0 and u != 0; a window that tracked rho would lose them
+        n, n_v, v_bound, stride = 32, 4, 1.0, 1
+        j = data.draw(st.integers(0, n - 2))
+        rho0 = np.zeros(n)
+        rho0[j:j + 2] = [0.25, -0.25]
+        increments[0] = 0.0
+        spec = burgers_const_1d(lambda g: rho0, c=16.0)
+    else:
+        n_v = data.draw(st.sampled_from([4, 8]))
+        rho0 = np.zeros(n)
+        if kind != "zero":
+            low = {"fills_box": 0.05, "fast_drift": 0.5}.get(kind)
+            # a subnormal |rho0| makes VelocityGrid's log2 fail (math domain error)
+            level = ((st.floats(low, 1.0) | st.floats(-1.0, -low)) if low else
+                     st.floats(-1.0, 1.0, allow_subnormal=False))
+            levels = data.draw(st.lists(level, min_size=1, max_size=6))
+            piece = np.repeat(levels, data.draw(st.integers(1, 8)))
+            if kind == "fills_box":
+                rho0 = np.resize(piece, n)
+            elif kind == "edge":
+                piece = piece[:n]
+                rho0[:piece.size] = piece
+                if data.draw(st.booleans()):
+                    rho0 = rho0[::-1].copy()
+            else:
+                start = data.draw(st.integers(0, n - 1))
+                piece = piece[:n - start]
+                rho0[start:start + piece.size] = piece
+        amplitude = data.draw(st.floats(20.0, 40.0) | st.floats(-40.0, -20.0)
+                              if kind == "fast_drift" else st.floats(-3.0, 3.0))
+        spec = burgers_tanh_1d(lambda g: rho0, amplitude=amplitude)
+    cfg = BGKConfig(epsilon=2 * dt, dt=dt, horizon=steps * dt, half_width=2.0, n=n,
+                    n_v=n_v, v_bound=v_bound, snapshot_stride=stride,
+                    store_kinetic=True, store_defect_field=True)
+    return spec, cfg, BrownianPath(dim=1, dt=dt, horizon=cfg.horizon,
+                                   increments=increments, seed=0)
+
+
+class TestSupportWindow:
+    """run_simulation steps only the cells the support can reach; its output
+    is the full-box substeps' byte for byte."""
+
+    @pytest.mark.parametrize("kind", ["edge", "far_feet", "fast_drift", "rho_zero",
+                                      "fills_box", "zero", "cusp2d"])
+    @given(data=st.data())
+    def test_window_engine_is_the_full_box_substeps(self, kind, data):
+        spec, cfg, path = _window_case(kind, data)
+        traj = run_simulation(spec, cfg, path)
+        rho, u_l1, u_snaps, u, defect = _full_box_run(spec, cfg, path)
+        if kind == "rho_zero":
+            assert not np.any(rho[1]) and np.any(u_snaps[1])
+        assert traj.rho.tobytes() == rho.tobytes()
+        assert traj.u_l1.tobytes() == u_l1.tobytes()
+        assert traj.final_u.values.tobytes() == u.values.tobytes()
+        assert traj.u_snapshots.tobytes() == u_snaps.tobytes()
+        assert np.asarray(traj.defect.slab_mass).tobytes() == np.asarray(defect.slab_mass).tobytes()
+        assert repr(traj.defect.min_entry) == repr(defect.min_entry)
+        assert len(traj.defect.fields) == len(defect.fields)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(traj.defect.fields, defect.fields))
+
+    def _relaxed_cells(self, monkeypatch, spec, cfg, path):
+        cells = []
+        relax = bgk._relax
+
+        def counting(values, *args):
+            cells.append(math.prod(values.shape[:-1]))
+            return relax(values, *args)
+
+        monkeypatch.setattr(bgk, "_relax", counting)
+        run_simulation(spec, cfg, path)
+        assert len(cells) == cfg.n_steps
+        return sum(cells)
+
+    def test_cusp_flow_relaxes_a_window(self, monkeypatch):
+        n = 64
+        steps = round(n / 6.0)
+        cfg = BGKConfig(epsilon=2.0 / steps, dt=1.0 / steps, horizon=1.0, half_width=3.0,
+                        n=n, n_v=8, snapshot_stride=steps)
+        path = sample_path(20240229, cfg.dt, 1.0, dim=2)
+        cells = self._relaxed_cells(monkeypatch, cusp_flow_spec(cusp_data()), cfg, path)
+        assert cells <= 0.6 * n * n * steps
+
+    def test_support_filling_the_box_relaxes_the_box(self, monkeypatch):
+        spec = burgers_const_1d(lambda g: np.full(g.shape, 0.5), c=1.0)
+        n, dt = 64, 0.01
+        cfg = BGKConfig(epsilon=2 * dt, dt=dt, horizon=16 * dt, half_width=3.0, n=n, n_v=8)
+        path = sample_path(2, dt, cfg.horizon, dim=1)
+        assert self._relaxed_cells(monkeypatch, spec, cfg, path) == n * cfg.n_steps
 
 
 class TestEpsilonContinuation:
