@@ -8,8 +8,9 @@ __version__ = "0.1.0"
 from .bgk import (BGKConfig, DefectAccumulator, Trajectory, accumulate_defect,
                   epsilon_continuation, picard_solve, relax_substep,
                   run_simulation, step, transport_substep)
-from .brownian import (BrownianPath, export_path_csv, import_path_csv,
-                       levy_modulus_statistic, sample_path, sample_paths)
+from .brownian import (BrownianPath, levy_modulus_statistic, sample_path,
+                       sample_paths)
+from .csvio import export_path_csv, import_path_csv
 from .errors import (ConfigurationError, GridMismatchError, NumericalAbortError,
                      RangeViolationError, StochBGKError, StructuralViolationError)
 from .fields import (DensityField, KineticField, density_from_kinetic,

@@ -56,9 +56,9 @@ class SpatialBump:
         out[m] = (dr / r[m])[..., None] * d[m]
         return out
 
-    def supported_inside(self, grid: SpatialGrid, margin: float = 0.0) -> bool:
+    def supported_inside(self, grid: SpatialGrid) -> bool:
         c = np.asarray(self.center, dtype=float)
-        return bool(np.all(np.abs(c) + self.width + margin < grid.half_width))
+        return bool(np.all(np.abs(c) + self.width < grid.half_width))
 
 
 @dataclass(frozen=True)
@@ -146,10 +146,6 @@ class CheckResult:
 @dataclass
 class AuditReport:
     entries: list = field(default_factory=list)
-
-    def add(self, result: CheckResult) -> CheckResult:
-        self.entries.append(result)
-        return result
 
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
@@ -522,16 +518,14 @@ def run_standard_audit(traj: Trajectory, spec: ProblemSpec,
                        entropy_tol: Optional[float] = None) -> AuditReport:
     """The default battery: max principle, L1 growth, BV, defect, energy,
     and (when a tolerance is supplied) the entropy residual."""
-    report = AuditReport()
-    report.add(check_max_principle(traj.rho))
-    report.add(check_l1_growth(traj, spec))
-    report.add(check_bv_nonincrease(traj.rho, traj.sgrid, traj.spec))
-    report.add(check_defect_structure(traj, spec))
-    report.add(check_energy_defect_identity(traj, spec))
+    report = AuditReport([check_max_principle(traj.rho), check_l1_growth(traj, spec),
+                          check_bv_nonincrease(traj.rho, traj.sgrid, traj.spec),
+                          check_defect_structure(traj, spec),
+                          check_energy_defect_identity(traj, spec)])
     if entropy_tol is not None:
         n_bound = traj.vgrid.bound
         refs = [k * n_bound for k in (-0.75, -0.25, 0.0, 0.25, 0.5, 0.75)]
         worst, _ = entropy_residual(traj, refs)
-        report.add(CheckResult("entropy_residual", worst >= -entropy_tol,
-                               worst, 0.0, entropy_tol))
+        report.entries.append(CheckResult("entropy_residual", worst >= -entropy_tol,
+                                          worst, 0.0, entropy_tol))
     return report

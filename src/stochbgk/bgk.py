@@ -360,9 +360,7 @@ def _check_pad(rho0: DensityField, b_grid: np.ndarray, spec: ProblemSpec,
     grid = rho0.grid
     c = grid.axis_centers()
     support = np.nonzero(vals > 0)
-    reach = max(abs(c[support[0]].min()), abs(c[support[0]].max()))
-    if grid.dim == 2:
-        reach = max(reach, abs(c[support[1]].min()), abs(c[support[1]].max()))
+    reach = max(np.abs(c[axis]).max() for axis in support)
     nodes = path.values_at_nodes()
     k_end = path.node_index(min(config.horizon, path.horizon))
     noise_reach = float(np.max(np.abs(nodes[: k_end + 1]))) if k_end > 0 else 0.0

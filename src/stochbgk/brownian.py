@@ -7,7 +7,6 @@ of scheduling order and worker count.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -88,25 +87,6 @@ def sample_path(seed: int, dt: float, horizon: float, dim: int = 1,
 
 def sample_paths(seed: int, dt: float, horizon: float, dim: int, count: int):
     return [sample_path(seed, dt, horizon, dim, path_index=k) for k in range(count)]
-
-
-def export_path_csv(path: BrownianPath, fname) -> None:
-    """Columns: step index, dB1..dBd."""
-    with open(fname, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step"] + [f"dB{i + 1}" for i in range(path.dim)])
-        for k in range(path.n_steps):
-            w.writerow([k] + [format(float(x), ".17g") for x in path.increments[k]])
-
-
-def import_path_csv(fname, dt: float, seed: int = -1) -> BrownianPath:
-    with open(fname, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    dim = len(header) - 1
-    inc = np.array([[float(v) for v in row[1:]] for row in body])
-    return BrownianPath(dim=dim, dt=dt, horizon=len(body) * dt,
-                        increments=inc, seed=seed)
 
 
 def levy_modulus_statistic(paths, delta: float) -> float:

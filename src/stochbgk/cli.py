@@ -151,10 +151,13 @@ def cmd_audit(cfg, seed, out, bundle_dir) -> int:
     traj_file = os.path.join(bundle_dir, "trajectory.csv")
     if "trajectory.csv" not in manifest["files"]:
         raise ConfigurationError(f"{traj_file}: the bundle has no trajectory")
-    _, rho, dim = read_trajectory_csv(traj_file)
+    _, rho, _ = read_trajectory_csv(traj_file)
     spec = build_spec(manifest["config"])
-    grid = SpatialGrid(dim=dim, half_width=build_bgk_config(manifest["config"]).half_width,
-                       n=rho.shape[1])
+    bgk_cfg = build_bgk_config(manifest["config"])
+    grid = SpatialGrid(dim=spec.dim, half_width=bgk_cfg.half_width, n=bgk_cfg.n)
+    if rho.shape[1:] != grid.shape:
+        raise ConfigurationError(f"{traj_file}: snapshots of shape {rho.shape[1:]}, but the "
+                                 f"config has grid.dim {grid.dim} and grid.n {grid.n}")
     report = AuditReport([check_max_principle(rho),
                           check_bv_nonincrease(rho, grid, spec)])
     files = [os.path.join(out, "reaudit.csv")]

@@ -198,12 +198,12 @@ class CounterexampleData:
         return self.profile_x(x) * self.profile_y(y)
 
 
-def cusp_data(radius=3.0) -> CounterexampleData:
-    return CounterexampleData(cusp_profile_x, bump_profile_y, radius)
+def cusp_data() -> CounterexampleData:
+    return CounterexampleData(cusp_profile_x, bump_profile_y)
 
 
-def smooth_control_data(radius=3.0) -> CounterexampleData:
-    return CounterexampleData(smooth_profile_x, bump_profile_y, radius)
+def smooth_control_data() -> CounterexampleData:
+    return CounterexampleData(smooth_profile_x, bump_profile_y)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Stable CSV emission and parsing for trajectories, tables, and reports.
+"""Stable CSV emission and parsing for trajectories, Brownian paths, tables,
+and reports.
 
 All floats are written with repr-quality precision so that reruns of the
-same seeded experiment produce byte-identical files.
+same seeded experiment produce byte-identical files.  The readers accept
+only what the writers produce; anything else is a ConfigurationError.
 """
 
 from __future__ import annotations
@@ -9,12 +11,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
-from typing import Iterable
+import warnings
+from itertools import repeat
 
 import numpy as np
 
 from .bgk import Trajectory
+from .brownian import BrownianPath
 from .errors import ConfigurationError
 
 
@@ -32,22 +37,19 @@ def write_rows(fname, header, rows) -> None:
             w.writerow([v if isinstance(v, str) else fmt(v) for v in row])
 
 
-def trajectory_rows(traj: Trajectory) -> Iterable[tuple]:
-    dim = traj.sgrid.dim
-    for s, t in enumerate(traj.times):
-        field = traj.rho[s]
-        if dim == 1:
-            for i, v in enumerate(field):
-                yield (t, i, v)
-        else:
-            for i in range(field.shape[0]):
-                for j in range(field.shape[1]):
-                    yield (t, i, j, field[i, j])
+_HEADERS = {"trajectory": lambda d: ["t", *"ij"[:d], "rho"],
+           "path": lambda d: ["step"] + [f"dB{a + 1}" for a in range(d)]}
 
 
 def write_trajectory_csv(traj: Trajectory, fname) -> None:
-    header = ["t", "i", "rho"] if traj.sgrid.dim == 1 else ["t", "i", "j", "rho"]
-    write_rows(fname, header, trajectory_rows(traj))
+    """Rows t, i[, j], rho: each snapshot's cells in C order, generated one
+    snapshot at a time."""
+    grid = traj.sgrid
+    index = [[fmt(i) for i in axis]
+             for axis in np.indices(grid.shape).reshape(grid.dim, -1).tolist()]
+    write_rows(fname, _HEADERS["trajectory"](grid.dim),
+               (row for t, field in zip(traj.times, traj.rho)
+                for row in zip(repeat(fmt(t)), *index, field.ravel().tolist())))
 
 
 def write_defect_csv(traj: Trajectory, fname) -> None:
@@ -61,27 +63,64 @@ def write_audit_csv(report, fname) -> None:
                [e.row() for e in report.entries])
 
 
+def export_path_csv(path: BrownianPath, fname) -> None:
+    """Columns step, dB1..dBd: one row per path step."""
+    write_rows(fname, _HEADERS["path"](path.dim),
+               ((k, *inc) for k, inc in enumerate(path.increments.tolist())))
+
+
+def _read_table(fname, kind):
+    """(d, float body) of a CSV that ``write_rows`` wrote under _HEADERS[kind](d).
+
+    Every row must have the header's field count and only finite numbers, and
+    the body may not be empty.  Both \\r\\n and \\n line ends are read.
+    """
+    try:
+        with open(fname) as fh, warnings.catch_warnings():
+            header = fh.readline().rstrip("\n").split(",")
+            warnings.simplefilter("ignore")  # loadtxt warns on an empty body
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:  # a short row, a non-numeric value, bad UTF-8
+        raise ConfigurationError(f"{fname}: {exc}") from exc
+    dim = len(header) - len(_HEADERS[kind](0))
+    if dim < 1 or header != _HEADERS[kind](dim):
+        raise ConfigurationError(f"{fname}: unrecognized {kind} header {header}")
+    if len(table) == 0 or table.shape[1] != len(header):
+        raise ConfigurationError(f"{fname}: {len(table)} rows of {table.shape[1]} "
+                                 f"fields under a header of {len(header)}")
+    if not np.all(np.isfinite(table)):
+        raise ConfigurationError(f"{fname}: a value is not finite")
+    return dim, table
+
+
 def read_trajectory_csv(fname):
-    """Returns (times array, snapshots array, dim) from a trajectory CSV."""
-    with open(fname, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    dim = 1 if header == ["t", "i", "rho"] else 2
-    if dim == 2 and header != ["t", "i", "j", "rho"]:
-        raise ConfigurationError(f"unrecognized trajectory header {header}")
-    times = sorted({float(r[0]) for r in body})
-    t_index = {t: k for k, t in enumerate(times)}
-    if dim == 1:
-        n = max(int(r[1]) for r in body) + 1
-        out = np.zeros((len(times), n))
-        for r in body:
-            out[t_index[float(r[0])], int(r[1])] = float(r[2])
-    else:
-        n = max(int(r[1]) for r in body) + 1
-        out = np.zeros((len(times), n, n))
-        for r in body:
-            out[t_index[float(r[0])], int(r[1]), int(r[2])] = float(r[3])
-    return np.asarray(times), out, dim
+    """Returns (times array, snapshots array, dim) from a trajectory CSV.
+
+    Rows may come in any order, but each (t, cell) of the n^d grid, n one
+    more than the largest index, must appear exactly once."""
+    dim, table = _read_table(fname, "trajectory")
+    times, t_index = np.unique(table[:, 0], return_inverse=True)
+    cells = table[:, 1:-1]
+    if not np.all((cells >= 0) & (cells == np.floor(cells))):
+        raise ConfigurationError(f"{fname}: an index is not a non-negative integer")
+    shape = (len(times),) + (int(cells.max()) + 1,) * dim
+    if len(table) != math.prod(shape):
+        raise ConfigurationError(f"{fname}: {len(table)} rows for the cells of {shape}")
+    flat = np.ravel_multi_index((t_index, *cells.astype(np.intp).T), shape)
+    if np.bincount(flat).max() > 1:
+        raise ConfigurationError(f"{fname}: a cell is missing and another appears twice")
+    rho = np.empty(len(flat))
+    rho[flat] = table[:, -1]
+    return times, rho.reshape(shape), dim
+
+
+def import_path_csv(fname, dt: float) -> BrownianPath:
+    """Inverse of ``export_path_csv``: the steps must be 0..n-1 in order."""
+    dim, table = _read_table(fname, "path")
+    if not np.array_equal(table[:, 0], np.arange(len(table))):
+        raise ConfigurationError(f"{fname}: steps are not 0..{len(table) - 1} in order")
+    return BrownianPath(dim=dim, dt=dt, horizon=len(table) * dt,
+                        increments=table[:, 1:].copy(), seed=-1)
 
 
 def file_sha256(fname) -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, RangeViolationError
+from .errors import GridMismatchError, RangeViolationError, StructuralViolationError
 from .grids import SpatialGrid, VelocityGrid
 
 
@@ -42,9 +42,6 @@ class DensityField:
     def linf(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
-    def copy(self) -> "DensityField":
-        return DensityField(self.grid, self.values.copy())
-
 
 @dataclass
 class KineticField:
@@ -65,9 +62,6 @@ class KineticField:
             raise GridMismatchError(
                 f"kinetic shape {self.values.shape} != expected {expected}"
             )
-
-    def copy(self) -> "KineticField":
-        return KineticField(self.sgrid, self.vgrid, self.values.copy())
 
 
 def maxwellian_cell_average(rho, vgrid: VelocityGrid) -> np.ndarray:
@@ -114,8 +108,6 @@ def density_from_kinetic(u: KineticField) -> DensityField:
 
 def check_kinetic_structure(u: KineticField, tol: float = 0.0) -> None:
     """Raise if sgn(v) * u < -tol anywhere or |u| > 1 + tol."""
-    from .errors import StructuralViolationError
-
     vals = u.values
     if np.any(np.abs(vals) > 1.0 + tol):
         raise StructuralViolationError("kinetic field leaves [-1, 1]")

@@ -52,11 +52,8 @@ class SpatialGrid:
 
     def centers(self) -> np.ndarray:
         """Coordinates of all cell centers, shape (*shape, dim)."""
-        c = self.axis_centers()
-        if self.dim == 1:
-            return c[:, None]
-        X, Y = np.meshgrid(c, c, indexing="ij")
-        return np.stack([X, Y], axis=-1)
+        axes = np.meshgrid(*[self.axis_centers()] * self.dim, indexing="ij")
+        return np.stack(axes, axis=-1)
 
     def compatible(self, other: "SpatialGrid") -> bool:
         return (
@@ -84,9 +81,11 @@ class VelocityGrid:
     def __post_init__(self):
         if self.n_v < 4 or self.n_v % 2 != 0:
             raise ConfigurationError(f"n_v must be an even integer >= 4, got {self.n_v}")
-        if not self.bound > 0 or not math.isfinite(self.bound):
-            raise ConfigurationError(f"velocity bound must be positive finite, got {self.bound}")
-        spacing = 2.0 ** math.ceil(math.log2(2.0 * self.bound / self.n_v))
+        cell = 2.0 * self.bound / self.n_v  # 0 or inf when the bound is extreme
+        if not 0.0 < cell < math.inf:
+            raise ConfigurationError(f"velocity bound must leave a positive finite cell "
+                                     f"2 bound / n_v, got bound {self.bound}, n_v {self.n_v}")
+        spacing = 2.0 ** math.ceil(math.log2(cell))
         object.__setattr__(self, "dv", spacing)
         object.__setattr__(self, "bound", (self.n_v // 2) * spacing)
 

@@ -18,22 +18,21 @@ from .grids import SpatialGrid
 from .problem import ProblemSpec
 
 
-def godunov_flux(flux, a, b, n_scan: int = 129, critical_points=(0.0,)):
+def godunov_flux(flux, a, b):
     """Godunov numerical flux min/max over the state interval.
 
     F(a, b) = min_{a<=u<=b} f(u) if a <= b else max_{b<=u<=a} f(u),
-    evaluated on a dense scan of the interval plus the supplied critical
-    points (clipped into the interval), so fluxes whose interior extrema are
-    listed -- e.g. Burgers with 0 -- are resolved exactly.
+    evaluated on a 129-point scan of the interval plus the critical point 0
+    (clipped into the interval), so fluxes whose interior extremum is at 0
+    -- e.g. Burgers -- are resolved exactly.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
-    theta = np.linspace(0.0, 1.0, n_scan)
+    theta = np.linspace(0.0, 1.0, 129)
     states = lo[None, ...] + theta.reshape((-1,) + (1,) * a.ndim) * (hi - lo)[None, ...]
-    extra = [np.clip(np.full_like(lo, c), lo, hi)[None, ...] for c in critical_points]
-    states = np.concatenate([states] + extra, axis=0)
+    states = np.concatenate([states, np.clip(np.zeros_like(lo), lo, hi)[None, ...]], axis=0)
     vals = flux(states)
     return np.where(a <= b, vals.min(axis=0), vals.max(axis=0))
 
@@ -48,8 +47,7 @@ def burgers_godunov_flux(a, b):
 
 
 def godunov_solve(flux, rho0: DensityField, dt: float, horizon: float,
-                  flux_sup_speed: float, numerical_flux=None,
-                  snapshot_stride: int = 1):
+                  flux_sup_speed: float, snapshot_stride: int = 1):
     """1D monotone Godunov march; returns (times, snapshots array).
 
     Fields are compactly supported and padded, so the boundary uses zero
@@ -63,8 +61,6 @@ def godunov_solve(flux, rho0: DensityField, dt: float, horizon: float,
         raise ConfigurationError(
             f"CFL violation: dt sup|f'| / h = {dt * flux_sup_speed / h:.3f} > 1"
         )
-    nf = numerical_flux if numerical_flux is not None else (
-        lambda a, b: godunov_flux(flux, a, b))
     n_steps = int(round(horizon / dt))
     rho = rho0.values.copy()
     times = [0.0]
@@ -72,7 +68,7 @@ def godunov_solve(flux, rho0: DensityField, dt: float, horizon: float,
     lam = dt / h
     for k in range(n_steps):
         ext = np.concatenate(([0.0], rho, [0.0]))
-        f_iface = nf(ext[:-1], ext[1:])
+        f_iface = godunov_flux(flux, ext[:-1], ext[1:])
         rho = rho - lam * (f_iface[1:] - f_iface[:-1])
         if (k + 1) % snapshot_stride == 0 or k + 1 == n_steps:
             times.append((k + 1) * dt)
@@ -101,7 +97,6 @@ def _resample_shifted(values: np.ndarray, grid: SpatialGrid, shift: float) -> np
 
 def shift_reduction_oracle(flux, rho0: DensityField, path: BrownianPath,
                            horizon: float, flux_sup_speed: float,
-                           dt: float = None, numerical_flux=None,
                            x_independent: bool = True):
     """Entropy solution of the noisy x-independent problem by exact reduction.
 
@@ -118,8 +113,7 @@ def shift_reduction_oracle(flux, rho0: DensityField, path: BrownianPath,
     if path.dim != 1:
         raise ConfigurationError("shift reduction oracle is 1D only")
     grid = rho0.grid
-    if dt is None:
-        dt = 0.4 * grid.h / max(flux_sup_speed, 1e-12)
+    dt = 0.4 * grid.h / max(flux_sup_speed, 1e-12)
     n_path = path.node_index(horizon)
     horizon_eff = n_path * path.dt
     # substep the deterministic march so path nodes land on oracle snapshots
@@ -127,7 +121,6 @@ def shift_reduction_oracle(flux, rho0: DensityField, path: BrownianPath,
     times_w, snaps_w = godunov_solve(flux, rho0, dt=path.dt / sub,
                                      horizon=horizon_eff,
                                      flux_sup_speed=flux_sup_speed,
-                                     numerical_flux=numerical_flux,
                                      snapshot_stride=sub)
     nodes = path.values_at_nodes()
     out_times = np.arange(n_path + 1) * path.dt

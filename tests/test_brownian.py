@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from stochbgk.brownian import (export_path_csv, import_path_csv,
-                               levy_modulus_statistic, sample_path,
-                               sample_paths)
+from stochbgk.brownian import levy_modulus_statistic, sample_path, sample_paths
+from stochbgk.csvio import export_path_csv, import_path_csv
 from stochbgk.errors import ConfigurationError
 
 

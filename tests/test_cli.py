@@ -86,6 +86,14 @@ def _read_bytes(path):
         return fh.read()
 
 
+def _set_field(lines, row, col, value):
+    """CSV lines with field col of line row replaced by value."""
+    parts = lines[row].split(",")
+    parts[col] = value
+    lines[row] = ",".join(parts)
+    return lines
+
+
 class TestValidation:
     def test_missing_field_names_path(self):
         cfg = json.loads(json.dumps(SIM_CFG))
@@ -209,6 +217,14 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err == f"internal error: {type(exc).__name__}: {exc}\n"
 
+    def test_underflowing_velocity_cell_exits_2(self, tmp_path, capsys):
+        # sup rho0 = 5e-324 gives 2 N / n_v = 0.0: no velocity spacing exists
+        cfg = _edited(SIM_CFG, "spec.initial.height", 5e-324)
+        rc = main(["simulate", "--config", _write(tmp_path, cfg),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("configuration error: velocity bound")
+
     def test_missing_config_file_exits_2_naming_it(self, tmp_path, capsys):
         missing, out = tmp_path / "absent.json", tmp_path / "o"
         rc = main(["simulate", "--config", str(missing), "--out", str(out)])
@@ -289,6 +305,17 @@ class TestAuditCommand:
                    "--bundle", str(out), "--out", str(tmp_path / "re")])
         assert rc == 0
 
+    @staticmethod
+    def _replace_trajectory(out, lines):
+        """Rewrite trajectory.csv with \\n line ends and refresh the manifest,
+        so only the trajectory's content can fail the audit."""
+        (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
+        import stochbgk.csvio as csvio
+        manifest = json.loads((out / "manifest.json").read_text())
+        files = [str(out / n) for n in manifest["files"]]
+        csvio.write_manifest(str(out), manifest["config"],
+                             manifest["master_seed"], files)
+
     def test_corrupted_cell_fails_max_principle(self, tmp_path):
         out = self._bundle(tmp_path)
         traj = (out / "trajectory.csv").read_text().splitlines()
@@ -296,16 +323,47 @@ class TestAuditCommand:
         parts = traj[400].split(",")
         parts[-1] = "2.5"
         traj[400] = ",".join(parts)
-        (out / "trajectory.csv").write_text("\n".join(traj) + "\n")
-        # refresh the manifest so only the physics check can fail
-        import stochbgk.csvio as csvio
-        manifest = json.loads((out / "manifest.json").read_text())
-        files = [str(out / n) for n in manifest["files"]]
-        csvio.write_manifest(str(out), manifest["config"],
-                             manifest["master_seed"], files)
+        self._replace_trajectory(out, traj)
         rc = main(["audit", "--config", self._audit_cfg(tmp_path),
                    "--bundle", str(out), "--out", str(tmp_path / "re")])
         assert rc == 1
+
+    # rows t,i,rho of SIM_CFG: 11 snapshots of 128 cells, lines 1..1408
+    BAD_TRAJECTORIES = {
+        "non_numeric_value": lambda ls: _set_field(ls, 400, 2, "0.5.1"),
+        "nan_value": lambda ls: _set_field(ls, 400, 2, "nan"),
+        "inf_value": lambda ls: _set_field(ls, 400, 2, "inf"),
+        "short_row": lambda ls: ls[:400] + [ls[400].rsplit(",", 1)[0]] + ls[401:],
+        "long_row": lambda ls: ls[:400] + [ls[400] + ",0"] + ls[401:],
+        "every_row_short": lambda ls: ls[:1] + [r.rsplit(",", 1)[0] for r in ls[1:]],
+        "empty_body": lambda ls: ls[:1],
+        "bad_header": lambda ls: ["t,x,rho"] + ls[1:],
+        "dropped_row": lambda ls: ls[:400] + ls[401:],
+        "duplicated_row": lambda ls: ls[:401] + ls[400:],
+        "cell_twice_cell_missing": lambda ls: ls[:401] + ls[400:401] + ls[402:],
+        "negative_index": lambda ls: _set_field(ls, 1, 1, "-1"),
+        "fractional_index": lambda ls: _set_field(ls, 400, 1, "15.5"),
+        "index_past_grid": lambda ls: _set_field(ls, 400, 1, "128"),
+        "time_off_by_one_ulp": lambda ls: _set_field(
+            ls, 400, 0, repr(float(np.nextafter(float(ls[400].split(",")[0]), 1.0)))),
+        "fewer_cells_than_grid_n": lambda ls: ls[:1] + [
+            r for r in ls[1:] if int(r.split(",")[1]) < 127],
+        "two_d_file_for_1d_config": lambda ls: ["t,i,j,rho"] + [
+            f"{t},{i},{j},0" for t in (0, 1) for i in range(128) for j in range(128)],
+    }
+
+    @pytest.mark.parametrize("case", BAD_TRAJECTORIES)
+    def test_malformed_trajectory_exits_2_naming_it(self, tmp_path, capsys, case):
+        out = self._bundle(tmp_path)
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        self._replace_trajectory(out, self.BAD_TRAJECTORIES[case](lines))
+        capsys.readouterr()
+        rc = main(["audit", "--config", self._audit_cfg(tmp_path),
+                   "--bundle", str(out), "--out", str(tmp_path / "re")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("configuration error:")
+        assert "trajectory.csv" in err
 
     def test_partial_bundle_rejected(self, tmp_path):
         out = self._bundle(tmp_path)

@@ -44,6 +44,13 @@ class TestGrids:
         with pytest.raises(ConfigurationError):
             VelocityGrid(bound=1.0, n_v=2)
 
+    @pytest.mark.parametrize("bound", [5e-324, 1e308])
+    def test_velocity_bound_whose_cell_underflows_or_overflows_is_rejected(self, bound):
+        # 2 * 5e-324 / 4 rounds to 0.0 and 2 * 1e308 to inf: no power-of-two
+        # spacing exists for either
+        with pytest.raises(ConfigurationError, match="velocity bound"):
+            VelocityGrid.for_density_bound(bound, 4)
+
 
 class TestMaxwellian:
     def setup_method(self):
