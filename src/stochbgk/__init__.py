@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 from .bgk import (BGKConfig, DefectAccumulator, Trajectory, accumulate_defect,
                   epsilon_continuation, picard_solve, relax_substep,
-                  run_simulation, step, transport_substep)
+                  run_simulation, transport_substep)
 from .brownian import (BrownianPath, levy_modulus_statistic, sample_path,
                        sample_paths)
 from .csvio import export_path_csv, import_path_csv

@@ -257,16 +257,23 @@ def entropy_residual(traj: Trajectory, rho_refs, bumps=None,
     return worst, rows
 
 
-def kinetic_residual(traj: Trajectory, bump: SpatialBump,
-                     cutoff: VelocityCutoff) -> float:
+def kinetic_residual(traj: Trajectory, kinetic_snapshots: np.ndarray, defect_fields,
+                     bump: SpatialBump, cutoff: VelocityCutoff) -> float:
     """Imbalance of the kinetic weak form, defect term included.
 
-    Needs kinetic snapshots and stored defect fields.  With a cutoff that is
-    constant on [-N, N] the defect term vanishes and the imbalance reduces
-    to the transport identity.
+    ``kinetic_snapshots`` is u at ``traj.times``, shape (n_snap, *grid shape,
+    n_v), and ``defect_fields`` each slab's summed defect prefix, shape
+    (n_snap - 1, *grid shape, n_v); run_simulation keeps neither, and other
+    shapes raise ConfigurationError.  With a cutoff constant on [-N, N] the
+    defect term vanishes, the imbalance reduces to the transport identity,
+    and ``defect_fields`` may be None.
     """
-    if traj.u_snapshots is None:
-        raise ConfigurationError("kinetic_residual needs store_kinetic=True")
+    cells = traj.sgrid.shape + (traj.vgrid.n_v,)
+    snaps, slabs = (len(traj.times),) + cells, (len(traj.times) - 1,) + cells
+    u = np.asarray(kinetic_snapshots)
+    if u.shape != snaps or (defect_fields is not None and np.shape(defect_fields) != slabs):
+        raise ConfigurationError(f"kinetic_residual needs snapshots of shape {snaps} "
+                                 f"and defect fields of shape {slabs}")
     spec = traj.spec
     grid = traj.sgrid
     vg = traj.vgrid
@@ -282,7 +289,6 @@ def kinetic_residual(traj: Trajectory, bump: SpatialBump,
     div_bphi = div_b_grid * phi + np.sum(b_grid * gphi, axis=-1)
     space_axes = tuple(range(1, grid.dim + 1))
 
-    u = traj.u_snapshots  # (n_snap, *shape, n_v)
     times = traj.times
     wq = _trapezoid_weights(times)
     pair = np.sum(u * phi[None, ..., None] * psi_v, axis=space_axes + (grid.dim + 1,)) * vol * vg.dv
@@ -298,13 +304,11 @@ def kinetic_residual(traj: Trajectory, bump: SpatialBump,
     strat = _stratonovich_sum(strat_series, traj.path_values_at_snapshots())
 
     m_term = 0.0
-    if traj.defect.fields is None:
+    if defect_fields is None:
         if np.any(np.abs(dpsi_v) > 0):
-            raise ConfigurationError(
-                "kinetic_residual with a varying cutoff needs store_defect_field=True"
-            )
+            raise ConfigurationError("kinetic_residual with a varying cutoff needs defect_fields")
     else:
-        for f_slab in traj.defect.fields:
+        for f_slab in defect_fields:
             m_term += float(np.sum(f_slab * phi[..., None] * dpsi_v)) * vol * vg.dv
     return lhs - (init + adv + strat - m_term)
 

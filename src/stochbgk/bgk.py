@@ -48,7 +48,8 @@ class BGKConfig:
     ``dt`` must match the driving path's resolution.  ``epsilon`` is the
     relaxation scale; dt <= epsilon is recommended (warning otherwise).
     ``window`` is the fixed-point restart length T1 for Picard mode, where
-    exp(T1 C0) (1 - exp(-T1/eps)) < 1 must hold.
+    exp(T1 C0) (1 - exp(-T1/eps)) < 1 must hold.  A run records rho, ||u||_1
+    and a defect slab mass every ``snapshot_stride`` steps, and only the final u.
     """
 
     epsilon: float
@@ -59,8 +60,6 @@ class BGKConfig:
     n_v: int = 32
     v_bound: Optional[float] = None
     snapshot_stride: int = 1
-    store_kinetic: bool = False
-    store_defect_field: bool = False
     window: Optional[float] = None
     picard_tol: float = 1e-8
     picard_max_iters: int = 200
@@ -88,15 +87,15 @@ class BGKConfig:
 class DefectAccumulator:
     """Nonnegative kinetic defect mass per time slab.
 
-    Always tracks the per-slab total mass and the most negative raw entry
-    seen; the full (x, v) prefix fields are kept only when requested.
+    Tracks the per-slab total mass and the most negative raw entry seen;
+    each slab's (x, v) prefix field is summed in a buffer that close_slab
+    reduces and drops.
     """
 
     cell_volume: float
     dv: float
     slab_times: list = field(default_factory=list)
     slab_mass: list = field(default_factory=list)
-    fields: Optional[list] = None
     min_entry: float = 0.0
 
     _buffer: Optional[np.ndarray] = None
@@ -119,8 +118,6 @@ class DefectAccumulator:
             return
         self.slab_times.append((self._buffer_start, t_end))
         self.slab_mass.append(float(self._buffer.sum()) * self.cell_volume * self.dv)
-        if self.fields is not None:
-            self.fields.append(self._buffer)
         self._buffer = None
 
     def total_mass(self) -> float:
@@ -142,7 +139,6 @@ class Trajectory:
     path: BrownianPath
     spec: ProblemSpec
     config: BGKConfig
-    u_snapshots: Optional[np.ndarray] = None
     picard_ratios: Optional[list] = None
     picard_bound: Optional[float] = None
     picard_residuals: Optional[list] = None  # per window, per iteration
@@ -291,11 +287,6 @@ def _relax(values: np.ndarray, vgrid: VelocityGrid, alpha: float, rho_bounds):
     return m + alpha * (values - m), rho
 
 
-def _sign_range(rho: np.ndarray):
-    """[min(0, rho), max(0, rho)]: the engine's frozen-density clip."""
-    return min(0.0, float(rho.min())), max(0.0, float(rho.max()))
-
-
 def accumulate_defect(u_before_relax: KineticField, u_after_relax: KineticField,
                       epsilon: float, dt: float) -> np.ndarray:
     """Slab defect-measure values: dv-prefix sums of the relaxation jump.
@@ -320,19 +311,6 @@ def _defect_prefix(before: np.ndarray, after: np.ndarray, dv: float):
         raise StructuralViolationError(f"defect prefix reached {low}; m must be >= 0")
     np.maximum(prefix, 0.0, out=prefix)
     return prefix, low
-
-
-def step(state: KineticField, t: float, config: BGKConfig,
-         path: BrownianPath, spec: ProblemSpec) -> KineticField:
-    """One full splitting step: transport then relaxation.
-
-    The frozen density is clipped to the sign range of the state's density,
-    the engine's policy, so a step from the lift of rho0 is the first step
-    of run_simulation bit for bit.
-    """
-    bounds = _sign_range(kinetic_density_values(state.values, state.vgrid.dv))
-    u_tilde = transport_substep(state, t, config.dt, path, spec)
-    return relax_substep(u_tilde, config.epsilon, config.dt, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +371,9 @@ class _Engine:
         self.b_grid = spec.b_on_grid(self.sgrid)
         self.fp = np.asarray(spec.f_prime(self.vgrid.centers()), dtype=float)
         self.alpha = math.exp(-config.dt / config.epsilon)
-        self.rho_bounds = _sign_range(self.rho0.values)
+        # the frozen-density clip [min(0, rho0), max(0, rho0)]
+        self.rho_bounds = (min(0.0, float(self.rho0.values.min())),
+                           max(0.0, float(self.rho0.values.max())))
         # per axis, the most one step's drift dt f'(v) b_a(x) moves a foot
         self.drift = config.dt * float(np.max(np.abs(self.fp))) * np.max(
             np.abs(self.b_grid.reshape(-1, spec.dim)), axis=0)
@@ -454,9 +434,9 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
     window is the full box when that reach is not finite, so a non-finite
     increment or drift still aborts here.  The next support is searched
     inside the window only, since it cannot leave it.  The reductions over
-    the whole state, u_l1, the slab masses and the stored fields, still run
-    on full-size arrays: np.sum's pairwise order depends on the shape, and
-    the windowed step keeps the full-box bytes.
+    the whole state, u_l1 and the slab masses, still run on full-size
+    arrays: np.sum's pairwise order depends on the shape, and the windowed
+    step keeps the full-box bytes.
     """
     eng = _Engine(spec, config, path)
     n_steps = config.n_steps
@@ -466,11 +446,7 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
     snap_times = [0.0]
     snaps = [eng.rho0.values.copy()]
     u_l1 = [float(np.sum(np.abs(u)) * eng.sgrid.cell_volume * eng.vgrid.dv)]
-    u_snaps = [u.copy()] if config.store_kinetic else None
-    defect = DefectAccumulator(
-        cell_volume=eng.sgrid.cell_volume, dv=eng.vgrid.dv,
-        fields=[] if config.store_defect_field else None,
-    )
+    defect = DefectAccumulator(cell_volume=eng.sgrid.cell_volume, dv=eng.vgrid.dv)
 
     full = _full_box(eng.sgrid)
     support = _support(u, full)
@@ -500,8 +476,6 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
             snap_times.append(t_next)
             snaps.append(rho)
             u_l1.append(float(np.sum(np.abs(u)) * eng.sgrid.cell_volume * eng.vgrid.dv))
-            if u_snaps is not None:
-                u_snaps.append(u.copy())
 
     return Trajectory(
         sgrid=eng.sgrid,
@@ -514,7 +488,6 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
         path=path,
         spec=spec,
         config=config,
-        u_snapshots=np.asarray(u_snaps) if u_snaps is not None else None,
     )
 
 

@@ -73,8 +73,16 @@ def _read_table(fname, kind):
     """(d, float body) of a CSV that ``write_rows`` wrote under _HEADERS[kind](d).
 
     Every row must have the header's field count and only finite numbers, and
-    the body may not be empty.  Both \\r\\n and \\n line ends are read.
+    the body may not be empty.  Both \\r\\n and \\n line ends are read, but
+    every line must end in one.  A pre-pass over binary chunks rejects what
+    loadtxt alone would accept: blank lines and spaces or tabs around values.
     """
+    lines = 0
+    with open(fname, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            if b" " in chunk or b"\t" in chunk:
+                raise ConfigurationError(f"{fname}: a value is padded with spaces or tabs")
+            lines += chunk.count(b"\n")
     try:
         with open(fname) as fh, warnings.catch_warnings():
             header = fh.readline().rstrip("\n").split(",")
@@ -88,6 +96,9 @@ def _read_table(fname, kind):
     if len(table) == 0 or table.shape[1] != len(header):
         raise ConfigurationError(f"{fname}: {len(table)} rows of {table.shape[1]} "
                                  f"fields under a header of {len(header)}")
+    if lines != len(table) + 1:
+        raise ConfigurationError(f"{fname}: {lines} line ends for a header and {len(table)} "
+                                 "rows: a blank line or an unterminated last line")
     if not np.all(np.isfinite(table)):
         raise ConfigurationError(f"{fname}: a value is not finite")
     return dim, table
@@ -131,12 +142,16 @@ def file_sha256(fname) -> str:
     return digest.hexdigest()
 
 
+def _config_sha256(config: dict) -> str:
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
+
+
 def write_manifest(out_dir, resolved_config: dict, seed: int, files) -> None:
-    """Atomic bundle stamp: written last, hashes every produced file."""
+    """Atomic bundle stamp: written last, hashes the config and every
+    produced file."""
     manifest = {
         "config": resolved_config,
-        "config_sha256": hashlib.sha256(
-            json.dumps(resolved_config, sort_keys=True).encode()).hexdigest(),
+        "config_sha256": _config_sha256(resolved_config),
         "master_seed": seed,
         "code_version": __import__("stochbgk").__version__,
         "files": {os.path.basename(f): file_sha256(f) for f in files},
@@ -149,7 +164,9 @@ def write_manifest(out_dir, resolved_config: dict, seed: int, files) -> None:
 
 
 def check_manifest(out_dir) -> dict:
-    """Validate a bundle; raises ConfigurationError on partial/corrupt output."""
+    """Validate a bundle: the recorded config against its hash and every
+    listed file against its hash.  Raises ConfigurationError on partial,
+    corrupt or tampered output."""
     path = os.path.join(out_dir, "manifest.json")
     if not os.path.exists(path):
         raise ConfigurationError(f"no manifest in {out_dir}: partial bundle")
@@ -161,6 +178,8 @@ def check_manifest(out_dir) -> dict:
     if not (isinstance(manifest, dict) and isinstance(manifest.get("files"), dict)
             and isinstance(manifest.get("config"), dict)):
         raise ConfigurationError(f"{path}: not a bundle manifest")
+    if manifest.get("config_sha256") != _config_sha256(manifest["config"]):
+        raise ConfigurationError(f"{path}: config does not match config_sha256")
     for name, digest in manifest["files"].items():
         full = os.path.join(out_dir, name)
         if not os.path.exists(full):

@@ -103,20 +103,24 @@ def test_criterion_02_l1_envelope(burgers_run, divb_run):
                           f"drift {drift:.2e} <= 1e-10")
 
 
-def test_criterion_03_defect_structure(burgers_run):
+def test_criterion_03_defect_structure(burgers_run, full_box_run):
     traj, spec, cfg, path = burgers_run
     res = check_defect_structure(traj, spec)
     ok = res.passed and traj.defect.min_entry >= -1e-12
     ok &= traj.vgrid.bound >= lp_norm(traj.initial(), np.inf)
-    # support: the accumulated prefix telescopes to ~0 at the top edge v = N
+    # support: the accumulated prefix telescopes to ~0 at the top edge v = N;
+    # the slab fields are the replay's, whose slab masses are the engine's
     T = 0.3
     dt = T / 384
     spec_e = burgers_const_1d(plateau_data(1.0, -1.0, 0.0), c=1.0)
     cfg_e = BGKConfig(epsilon=dt, dt=dt, horizon=T, half_width=3.0,
-                      n=384, n_v=32, snapshot_stride=8,
-                      store_defect_field=True)
-    traj_e = run_simulation(spec_e, cfg_e, sample_path(9, dt, T, dim=1))
-    top = max(float(np.max(np.abs(f[..., -1]))) for f in traj_e.defect.fields)
+                      n=384, n_v=32, snapshot_stride=8)
+    path_e = sample_path(9, dt, T, dim=1)
+    traj_e = run_simulation(spec_e, cfg_e, path_e)
+    replay = full_box_run(spec_e, cfg_e, path_e)
+    assert (np.asarray(replay.defect.slab_mass).tobytes()
+            == np.asarray(traj_e.defect.slab_mass).tobytes())
+    top = max(float(np.max(np.abs(f[..., -1]))) for f in replay.defect_fields)
     ok &= top <= 1e-12
     energy = check_energy_defect_identity(traj_e, spec_e)
     ok &= energy.passed

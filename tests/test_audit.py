@@ -148,28 +148,43 @@ class TestEntropyResidual:
 
 
 class TestKineticResidual:
-    def test_zero_solution_zero_residual(self):
+    """The kinetic snapshots and defect fields come from the replay of the
+    public substeps, which equals the engine byte for byte."""
+
+    def test_zero_solution_zero_residual(self, full_box_run):
         spec = burgers_const_1d(lambda g: np.zeros(g.shape), c=1.0)
-        traj, _, _, _ = _run(spec=spec, store_kinetic=True,
-                             store_defect_field=True)
-        r = kinetic_residual(traj, SpatialBump((0.0,), 2.0),
-                             VelocityCutoff(k=traj.vgrid.bound))
+        traj, spec, cfg, path = _run(spec=spec)
+        replay = full_box_run(spec, cfg, path)
+        r = kinetic_residual(traj, replay.kinetic_snapshots, replay.defect_fields,
+                             SpatialBump((0.0,), 2.0), VelocityCutoff(k=traj.vgrid.bound))
         assert r == 0.0
 
-    def test_requires_kinetic_snapshots(self):
-        traj, _, _, _ = _run()
-        with pytest.raises(ConfigurationError):
-            kinetic_residual(traj, SpatialBump((0.0,), 2.0),
-                             VelocityCutoff(k=1.0))
+    def test_arrays_off_the_trajectory_rejected(self, full_box_run):
+        traj, spec, cfg, path = _run(T=0.06, dt_frac=16, n=64)
+        replay = full_box_run(spec, cfg, path)
+        u, fields = replay.kinetic_snapshots, replay.defect_fields
+        bump = SpatialBump((0.0,), 2.0)
+        flat = VelocityCutoff(k=traj.vgrid.bound)  # constant on [-N, N]
+        varying = VelocityCutoff(k=0.5 * traj.vgrid.bound)
+        kinetic_residual(traj, u, fields, bump, varying)
+        kinetic_residual(traj, u, None, bump, flat)
+        # a snapshot or v-cell short, another grid; a slab short, another grid
+        for u_bad, fields_bad in ((u[:-1], fields), (u[..., :-1], fields),
+                                  (u[:, ::2], fields), (u, fields[:-1]),
+                                  (u, fields[:, ::2])):
+            with pytest.raises(ConfigurationError):
+                kinetic_residual(traj, u_bad, fields_bad, bump, varying)
+        with pytest.raises(ConfigurationError, match="varying cutoff"):
+            kinetic_residual(traj, u, None, bump, varying)
 
-    def test_imbalance_shrinks(self):
+    def test_imbalance_shrinks(self, full_box_run):
         vals = []
         for n, frac in ((96, 48), (192, 96)):
-            traj, _, _, _ = _run(n=n, dt_frac=frac, eps_mult=1,
-                                 store_kinetic=True, store_defect_field=True)
+            traj, spec, cfg, path = _run(n=n, dt_frac=frac, eps_mult=1)
+            replay = full_box_run(spec, cfg, path)
             vals.append(abs(kinetic_residual(
-                traj, SpatialBump((0.0,), 2.0),
-                VelocityCutoff(k=traj.vgrid.bound))))
+                traj, replay.kinetic_snapshots, replay.defect_fields,
+                SpatialBump((0.0,), 2.0), VelocityCutoff(k=traj.vgrid.bound))))
         assert vals[1] < vals[0]
 
 

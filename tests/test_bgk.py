@@ -9,15 +9,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stochbgk import bgk
-from stochbgk.bgk import (BGKConfig, DefectAccumulator, _monotone, _pad, _padded_gather,
+from stochbgk.bgk import (BGKConfig, _monotone, _pad, _padded_gather,
                           _single_cell_maxwellian, accumulate_defect,
                           epsilon_continuation, picard_solve, relax_substep,
-                          run_simulation, step, transport_substep)
+                          run_simulation, transport_substep)
 from stochbgk.brownian import BrownianPath, sample_path
 from stochbgk.counterexample import cusp_data, cusp_flow_spec
 from stochbgk.errors import ConfigurationError, NumericalAbortError, StructuralViolationError
 from stochbgk.fields import (DensityField, KineticField, check_kinetic_structure,
-                             density_from_kinetic, kinetic_density_values, kinetic_l1,
+                             density_from_kinetic, kinetic_density_values,
                              lift_density, maxwellian_cell_average)
 from stochbgk.grids import SpatialGrid, VelocityGrid
 from stochbgk.problem import (burgers_const_1d, burgers_tanh_1d, bump_data,
@@ -364,61 +364,46 @@ class TestRun:
     def test_single_step_max_principle(self):
         spec = burgers_const_1d(plateau_data(1.0, -1.0, 0.0), c=1.0)
         cfg = BGKConfig(epsilon=0.02, dt=0.01, horizon=0.01, half_width=3.0,
-                        n=128, n_v=16)
-        path = sample_path(3, 0.01, 0.01, dim=1)
-        u0 = lift_density(spec.initial_field(
-            SpatialGrid(1, 3.0, 128)), VelocityGrid.for_density_bound(1.0, 16))
-        out = step(u0, 0.0, cfg, path, spec)
-        rho = density_from_kinetic(out)
-        assert rho.linf() <= 1.0 + 1e-12
+                        n=128, n_v=16, v_bound=1.0)
+        traj = run_simulation(spec, cfg, sample_path(3, 0.01, 0.01, dim=1))
+        assert cfg.n_steps == 1
+        assert density_from_kinetic(traj.final_u).linf() <= 1.0 + 1e-12
+        assert np.max(np.abs(traj.rho[-1])) <= 1.0
 
     @pytest.mark.parametrize("rho0, v_bound", [
         (plateau_data(1.0, -1.0, 0.0), 1.5),
         (lambda g: 0.8 * np.sin(np.pi * g.axis_centers() / 1.5), 1.0),
     ], ids=["plateau", "sign-changing"])
-    def test_step_from_lift_is_first_engine_step(self, rho0, v_bound):
+    def test_step_from_lift_is_first_engine_step(self, rho0, v_bound, full_box_run):
+        # the replay's one step from the lift of rho0, its snapshot the frozen
+        # density clipped to the sign range of rho0
         spec = burgers_const_1d(rho0, c=1.0)
         dt = 0.01
         cfg = BGKConfig(epsilon=0.02, dt=dt, horizon=dt, half_width=3.0,
                         n=128, n_v=16, v_bound=v_bound)
         path = sample_path(3, dt, dt, dim=1)
         traj = run_simulation(spec, cfg, path)
-        rho_0 = traj.initial().values
-        assert np.max(np.abs(rho_0)) < traj.vgrid.bound
-        u0 = lift_density(traj.initial(), traj.vgrid)
-        out = step(u0, 0.0, cfg, path, spec)
-        assert np.array_equal(out.values, traj.final_u.values)
-        # the engine's snapshot is the frozen density, clipped to the sign
-        # range of rho0
-        u_tilde = transport_substep(u0, 0.0, dt, path, spec)
-        frozen = np.clip(density_from_kinetic(u_tilde).values,
-                         min(0.0, rho_0.min()), max(0.0, rho_0.max()))
-        assert np.array_equal(frozen, traj.rho[-1])
+        assert np.max(np.abs(traj.rho[0])) < traj.vgrid.bound
+        replay = full_box_run(spec, cfg, path)
+        assert traj.final_u.values.tobytes() == replay.final_u.values.tobytes()
+        assert traj.rho.tobytes() == replay.rho.tobytes()
 
     @pytest.mark.parametrize("rho0", [
         plateau_data(1.0, -1.0, 0.0),
         lambda g: 0.8 * np.sin(np.pi * g.axis_centers() / 1.5),
     ], ids=["plateau", "sine"])
-    def test_chained_steps_are_the_engine(self, rho0):
-        # each step() takes the path's own increment, as run_simulation does
+    def test_chained_steps_are_the_engine(self, rho0, full_box_run):
+        # the replay's substeps take the path's own increments, as run_simulation does
         spec = burgers_const_1d(rho0, c=1.0)
         dt = 0.01
         cfg = BGKConfig(epsilon=0.02, dt=dt, horizon=40 * dt, half_width=3.0,
                         n=128, n_v=16, v_bound=1.0)
         path = sample_path(3, dt, cfg.horizon, dim=1)
         traj = run_simulation(spec, cfg, path)
-        u = lift_density(traj.initial(), traj.vgrid)
-        bounds = (min(0.0, traj.rho[0].min()), max(0.0, traj.rho[0].max()))
-        rho, u_l1 = [traj.rho[0]], [kinetic_l1(u)]
-        for k in range(cfg.n_steps):
-            # the engine's snapshot is the frozen density of the transported state
-            u_tilde = transport_substep(u, k * dt, dt, path, spec)
-            rho.append(np.clip(density_from_kinetic(u_tilde).values, *bounds))
-            u = step(u, k * dt, cfg, path, spec)
-            u_l1.append(kinetic_l1(u))
-        assert u.values.tobytes() == traj.final_u.values.tobytes()
-        assert np.asarray(rho).tobytes() == traj.rho.tobytes()
-        assert np.asarray(u_l1).tobytes() == traj.u_l1.tobytes()
+        replay = full_box_run(spec, cfg, path)
+        assert traj.final_u.values.tobytes() == replay.final_u.values.tobytes()
+        assert traj.rho.tobytes() == replay.rho.tobytes()
+        assert traj.u_l1.tobytes() == replay.u_l1.tobytes()
 
     @given(levels=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=8).filter(
                lambda lv: min(lv) < 0.0 < max(lv)),
@@ -433,10 +418,10 @@ class TestRun:
         rho0[start:start + piece.size] = piece
         spec = burgers_tanh_1d(lambda g: rho0, amplitude=amplitude)
         dt = 0.01
-        cfg = BGKConfig(epsilon=0.02, dt=dt, horizon=dt, half_width=2.0, n=grid.n, n_v=n_v)
+        cfg = BGKConfig(epsilon=0.02, dt=dt, horizon=dt, half_width=2.0, n=grid.n,
+                        n_v=n_v, v_bound=1.0)
         path = BrownianPath(dim=1, dt=dt, horizon=dt, increments=[[dB]], seed=0)
-        u0 = lift_density(DensityField(grid, rho0), VelocityGrid.for_density_bound(1.0, n_v))
-        out = step(u0, 0.0, cfg, path, spec)
+        out = run_simulation(spec, cfg, path).final_u
         check_kinetic_structure(out, tol=0.0)
         assert np.max(np.abs(density_from_kinetic(out).values)) <= np.max(np.abs(rho0))
 
@@ -529,37 +514,6 @@ class TestRun:
             run_simulation(spec, cfg, path)
 
 
-def _full_box_run(spec, cfg, path):
-    """run_simulation rebuilt from the public full-box substeps: transport,
-    relaxation clipped to the sign range of rho0, the defect prefix, and
-    slabs closed at the snapshot stride.  Returns the snapshot densities,
-    u_l1 and kinetic states, the final state and the defect accumulator."""
-    grid = SpatialGrid(dim=spec.dim, half_width=cfg.half_width, n=cfg.n)
-    rho0 = spec.initial_field(grid)
-    vg = VelocityGrid.for_density_bound(
-        cfg.v_bound if cfg.v_bound is not None else rho0.linf(), cfg.n_v)
-    bounds = bgk._sign_range(rho0.values)
-    u = lift_density(rho0, vg)
-    defect = DefectAccumulator(grid.cell_volume, vg.dv, fields=[])
-    full = (slice(0, cfg.n),) * spec.dim
-    dt, eps = cfg.dt, cfg.epsilon
-    rho, u_l1, u_snaps = [rho0.values], [kinetic_l1(u)], [u.values]
-    for k in range(cfg.n_steps):
-        u_tilde = transport_substep(u, k * dt, dt, path, spec)
-        u_next = relax_substep(u_tilde, eps, dt, bounds)
-        prefix = accumulate_defect(u_tilde, u_next, eps, dt)
-        # the prefix before accumulate_defect's clamp
-        raw = vg.dv * np.cumsum(u_next.values - u_tilde.values, axis=-1)
-        defect.accumulate(prefix, float(raw.min()), k * dt, prefix.shape, full)
-        u = u_next
-        if (k + 1) % cfg.snapshot_stride == 0 or k + 1 == cfg.n_steps:
-            defect.close_slab((k + 1) * dt)
-            rho.append(np.clip(density_from_kinetic(u_tilde).values, *bounds))
-            u_l1.append(kinetic_l1(u))
-            u_snaps.append(u.values)
-    return np.asarray(rho), np.asarray(u_l1), np.asarray(u_snaps), u, defect
-
-
 def _window_case(kind, data):
     """(spec, config, path) of one support-window scenario."""
     stride = data.draw(st.integers(1, 4))
@@ -567,8 +521,7 @@ def _window_case(kind, data):
         n = data.draw(st.sampled_from([16, 24, 32]))
         steps = max(1, round(n / 6.0))
         cfg = BGKConfig(epsilon=2.0 / steps, dt=1.0 / steps, horizon=1.0, half_width=3.0,
-                        n=n, n_v=data.draw(st.sampled_from([4, 8])), snapshot_stride=stride,
-                        store_kinetic=True, store_defect_field=True)
+                        n=n, n_v=data.draw(st.sampled_from([4, 8])), snapshot_stride=stride)
         path = sample_path(data.draw(st.integers(0, 999)), cfg.dt, 1.0, dim=2)
         return cusp_flow_spec(cusp_data()), cfg, path
     n, dt = data.draw(st.sampled_from([48, 512])), 1.0 / 64  # 512: window extents of 4k
@@ -614,8 +567,7 @@ def _window_case(kind, data):
                               if kind == "fast_drift" else st.floats(-3.0, 3.0))
         spec = burgers_tanh_1d(lambda g: rho0, amplitude=amplitude)
     cfg = BGKConfig(epsilon=2 * dt, dt=dt, horizon=steps * dt, half_width=2.0, n=n,
-                    n_v=n_v, v_bound=v_bound, snapshot_stride=stride,
-                    store_kinetic=True, store_defect_field=True)
+                    n_v=n_v, v_bound=v_bound, snapshot_stride=stride)
     return spec, cfg, BrownianPath(dim=1, dt=dt, horizon=cfg.horizon,
                                    increments=increments, seed=0)
 
@@ -627,20 +579,17 @@ class TestSupportWindow:
     @pytest.mark.parametrize("kind", ["edge", "far_feet", "fast_drift", "rho_zero",
                                       "fills_box", "zero", "cusp2d"])
     @given(data=st.data())
-    def test_window_engine_is_the_full_box_substeps(self, kind, data):
+    def test_window_engine_is_the_full_box_substeps(self, kind, data, full_box_run):
         spec, cfg, path = _window_case(kind, data)
         traj = run_simulation(spec, cfg, path)
-        rho, u_l1, u_snaps, u, defect = _full_box_run(spec, cfg, path)
+        rho, u_l1, u_snaps, u, defect, _ = full_box_run(spec, cfg, path)
         if kind == "rho_zero":
             assert not np.any(rho[1]) and np.any(u_snaps[1])
         assert traj.rho.tobytes() == rho.tobytes()
         assert traj.u_l1.tobytes() == u_l1.tobytes()
         assert traj.final_u.values.tobytes() == u.values.tobytes()
-        assert traj.u_snapshots.tobytes() == u_snaps.tobytes()
         assert np.asarray(traj.defect.slab_mass).tobytes() == np.asarray(defect.slab_mass).tobytes()
         assert repr(traj.defect.min_entry) == repr(defect.min_entry)
-        assert len(traj.defect.fields) == len(defect.fields)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(traj.defect.fields, defect.fields))
 
     def _relaxed_cells(self, monkeypatch, spec, cfg, path):
         cells = []

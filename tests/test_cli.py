@@ -350,6 +350,8 @@ class TestAuditCommand:
             r for r in ls[1:] if int(r.split(",")[1]) < 127],
         "two_d_file_for_1d_config": lambda ls: ["t,i,j,rho"] + [
             f"{t},{i},{j},0" for t in (0, 1) for i in range(128) for j in range(128)],
+        "blank_line": lambda ls: ls[:400] + [""] + ls[400:],
+        "space_padded_value": lambda ls: _set_field(ls, 400, 2, ls[400].split(",")[2] + " "),
     }
 
     @pytest.mark.parametrize("case", BAD_TRAJECTORIES)
@@ -432,6 +434,25 @@ class TestAuditCommand:
         assert rc == 2
         assert err.startswith("configuration error:")
         assert str(out / "trajectory.csv") in err
+
+    @pytest.mark.parametrize("edit", ["field_c", "horizon", "hash_dropped"])
+    def test_tampered_config_exits_2_naming_the_manifest(self, tmp_path, capsys, edit):
+        out = self._bundle(tmp_path)
+        manifest = json.loads((out / "manifest.json").read_text())
+        if edit == "field_c":
+            manifest["config"]["spec"]["field"]["c"] = [5.0]
+        elif edit == "horizon":
+            manifest["config"]["bgk"]["horizon"] = 99
+        else:
+            del manifest["config_sha256"]
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        capsys.readouterr()
+        rc = main(["audit", "--config", self._audit_cfg(tmp_path),
+                   "--bundle", str(out), "--out", str(tmp_path / "re")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("configuration error:")
+        assert "manifest.json" in err
 
     def test_tampered_bundle_rejected(self, tmp_path):
         out = self._bundle(tmp_path)

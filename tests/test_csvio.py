@@ -99,6 +99,8 @@ BAD_PATHS = {
     "no_rows": lambda ls: ls[:1],
     "no_increment_column": lambda ls: ["step"] + [r.split(",")[0] for r in ls[1:]],
     "bad_header": lambda ls: ["step,dB1,dB3"] + ls[1:],
+    "blank_line": lambda ls: ls[:4] + [""] + ls[4:],
+    "space_padded_value": lambda ls: _set(ls, 3, 1, " " + ls[3].split(",")[1]),
 }
 
 
