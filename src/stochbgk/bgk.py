@@ -3,8 +3,9 @@
 One splitting step on a slab [t, t+dt]:
 
 * transport: semi-Lagrangian update along the characteristics' inverse flow,
-  u~(x, v) = u(x - dt f'(v) b(x) - dB, v), with monotone (clamped) linear
-  interpolation and zero fill outside the padded box;
+  u~(x, v) = u(x - dt f'(v) b(x) - dB, v), with monotone linear
+  interpolation (in 2D clamped to the corner range) and zero fill outside
+  the padded box;
 * relaxation: exact one-slab solution of du/dt = (chi_rho - u)/eps with the
   density frozen, u <- M + exp(-dt/eps) (u~ - M) where M is the Maxwellian
   lift of rho~ = integral of u~ dv.
@@ -20,7 +21,11 @@ support moves by at most ceil((|dB_a| + dt max|f'| max|b_a|)/h) cells along
 axis a.  run_simulation therefore steps only a window, the bounding box of
 the cells where u is non-zero widened by that reach plus two cells; every
 cell outside it is +0.0 after a full-box step too, so the output bytes do
-not depend on the window.
+not depend on the window.  The engine keeps u in two buffers padded with
+two zero cells on each side of every spatial axis, (n + 4)^d x n_v each:
+a step gathers from one and writes its window into the other, after
+zeroing there the window that buffer was given two steps before.  No step
+pads, scatters or scans the full state; only snapshots do.
 """
 
 from __future__ import annotations
@@ -199,17 +204,48 @@ def _padded_gather(padded: np.ndarray, coords):
 
 
 def _monotone_1d(padded: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Linear interpolation of padded 1D values at scaled coordinates s,
-    clamped to the two neighbours so no new extrema appear."""
+    """Linear interpolation a + w (b - a) of padded 1D values at scaled
+    coordinates s, between the neighbours a, b with w = s - floor(s).
+
+    It needs no clamp: under round-to-nearest the result lies in
+    [min(a, b), max(a, b)] whenever b - a is finite (kinetic values lie in
+    [-1, 1]).  Proof.  Rounding is odd, fl(-x) = -fl(x), so a > b mirrors
+    a <= b; take a <= b, d = fl(b - a) >= 0 and p = fl(w d) >= 0.
+    * If b - a >= 2^-1021, d is normal and, for w <= 1 - 2^-53 (the largest
+      double below 1), w d lies at least half the gap below d away from d,
+      so p <= pred(d), the double below d.  As b - a rounds to d,
+      pred(d) < b - a.
+    * If b - a < 2^-1021, it is a multiple of 2^-1074 below 2^53 of them,
+      so d = b - a exactly and p <= d.
+    Either way a <= a + p <= b in exact arithmetic, and round-to-nearest is
+    monotone with a and b representable, so a <= fl(a + p) <= b.  The signs
+    of a and b play no part.  w = s - floor(s) is exact (Sterbenz) unless s
+    is in (-1, 0), where it may round up to 1; there a is the zero pad cell
+    below the box and the result is fl(0 + 1 (b - 0)) = b.
+
+    The clamp this replaces changed only signs of zeros: the lerp of two
+    zeros is +0.0, which the clamp made -0.0 when b = -0.0.  The lift of a
+    negative density holds -0.0 in its v-cells outside [rho, 0].  The
+    engine's outputs drop that sign.  The relaxation m + alpha (u~ - m) and
+    the defect prefix (that value minus u~) are +0.0 for either zero and
+    either sign of a zero m.  The density sums a cell's v-cells, so a
+    clamped -0.0 density needs b = -0.0 in every v-cell; in the v-cell just
+    below v = 0 no lift has a -0.0, and a relaxed state has one only where
+    alpha u~ underflows from -2^-1074 beside m = -0.0.  Picard adds the
+    values to sums that start at +0.0.
+    """
     (a, b), (w,) = _padded_gather(padded, (s,))
-    return np.clip(a + w * (b - a), np.minimum(a, b), np.maximum(a, b))
+    b -= a
+    b *= w
+    b += a
+    return b
 
 
-def _monotone(values: np.ndarray, coords) -> np.ndarray:
-    """Monotone interpolation of values (d spatial axes, then optionally the
-    v-axis) at scaled coordinates, one array per spatial axis: the clamped
-    lerp for d = 1, bilinear clamped to the corner range for d = 2."""
-    padded = _pad(values, len(coords))
+def _monotone_padded(padded: np.ndarray, coords) -> np.ndarray:
+    """Monotone interpolation of padded values (from _pad: d spatial axes
+    of n + 4 cells, then optionally the v-axis) at scaled coordinates, one
+    array per spatial axis: the lerp for d = 1, bilinear clamped to the
+    corner range for d = 2 (there the rounded sum can leave the range)."""
     if len(coords) == 1:
         return _monotone_1d(padded, coords[0])
     (c00, c01, c10, c11), (wx, wy) = _padded_gather(padded, coords)
@@ -220,14 +256,20 @@ def _monotone(values: np.ndarray, coords) -> np.ndarray:
     return np.clip(out, lo, hi)
 
 
+def _monotone(values: np.ndarray, coords) -> np.ndarray:
+    """_monotone_padded of values (d spatial axes, then optionally the
+    v-axis) with two zero cells padded on each side."""
+    return _monotone_padded(_pad(values, len(coords)), coords)
+
+
 # ---------------------------------------------------------------------------
 # substeps (functional API)
 
-def _transport_values(values: np.ndarray, dB: np.ndarray, dt: float,
+def _transport_values(padded: np.ndarray, dB: np.ndarray, dt: float,
                       sgrid: SpatialGrid, fp: np.ndarray,
                       b_grid: np.ndarray, win: tuple) -> np.ndarray:
-    """Semi-Lagrangian update of raw kinetic values (v-axis last) on the
-    cells win, one slice per spatial axis.
+    """Semi-Lagrangian update of raw kinetic values (v-axis last, padded by
+    _pad) on the cells win, one slice per spatial axis.
 
     The feet are built for the window only and gather from the whole padded
     array, so they may leave the window or the box.  When f' is constant
@@ -239,8 +281,8 @@ def _transport_values(values: np.ndarray, dB: np.ndarray, dt: float,
     if np.all(fp == fp[0]):
         fp = fp[:1]
     x, b = sgrid.centers()[win], b_grid[win]
-    return _monotone(values, [(x[..., a, None] - dt * fp * b[..., a, None] - dB[a] - x0)
-                              / sgrid.h for a in range(sgrid.dim)])
+    return _monotone_padded(padded, [(x[..., a, None] - dt * fp * b[..., a, None] - dB[a] - x0)
+                                     / sgrid.h for a in range(sgrid.dim)])
 
 
 def _full_box(sgrid: SpatialGrid) -> tuple:
@@ -258,7 +300,8 @@ def transport_substep(u: KineticField, t: float, dt: float,
     dB = path.increments[path.node_index(t):path.node_index(t + dt)].sum(axis=0)
     fp = np.asarray(spec.f_prime(u.vgrid.centers()), dtype=float)
     b_grid = spec.b_on_grid(u.sgrid)
-    new = _transport_values(u.values, dB, dt, u.sgrid, fp, b_grid, _full_box(u.sgrid))
+    new = _transport_values(_pad(u.values, u.sgrid.dim), dB, dt, u.sgrid, fp, b_grid,
+                            _full_box(u.sgrid))
     return KineticField(u.sgrid, u.vgrid, new)
 
 
@@ -419,6 +462,11 @@ def _window(support, dB: np.ndarray, drift: np.ndarray, sgrid: SpatialGrid) -> t
     return tuple(win)
 
 
+def _in_padded(win: tuple) -> tuple:
+    """The cells win of the box as slices of a _pad-ed array."""
+    return tuple(slice(sl.start + 2, sl.stop + 2) for sl in win)
+
+
 def run_simulation(spec: ProblemSpec, config: BGKConfig,
                    path: BrownianPath) -> Trajectory:
     """March the BGK approximation over [0, horizon] and collect snapshots.
@@ -433,48 +481,59 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
     to a multiple of n/128 cells (see _window) and clipped to the box.  The
     window is the full box when that reach is not finite, so a non-finite
     increment or drift still aborts here.  The next support is searched
-    inside the window only, since it cannot leave it.  The reductions over
-    the whole state, u_l1 and the slab masses, still run on full-size
-    arrays: np.sum's pairwise order depends on the shape, and the windowed
-    step keeps the full-box bytes.
+    inside the window only, since it cannot leave it.
+
+    u lives in two zero-padded buffers of shape (n + 4)^d x n_v, laid out as
+    _pad lays them out, so the gather reads one buffer as it is.  A step
+    gathers from the current buffer, zeros in the other one only the window
+    it was given two steps before (the initial buffer counts as holding the
+    whole box), and writes the new window there.  Every cell outside the
+    window is +0.0, so the non-finite check reads the window's density, and
+    the full density is built only at snapshots.  u_l1 sums np.abs of the
+    interior, a fresh C-ordered array of the full shape, so np.sum's
+    pairwise order, which depends on the shape, is that of a full-box step.
     """
     eng = _Engine(spec, config, path)
     n_steps = config.n_steps
     stride = config.snapshot_stride
     u = maxwellian_cell_average(eng.rho0.values, eng.vgrid)
+    full = _full_box(eng.sgrid)
+    interior = _in_padded(full)
+    bufs = [_pad(u, eng.sgrid.dim), np.zeros((eng.sgrid.n + 4,) * eng.sgrid.dim + u.shape[-1:])]
+    held = [full, (slice(0, 0),) * eng.sgrid.dim]  # the window each buffer was given
 
     snap_times = [0.0]
     snaps = [eng.rho0.values.copy()]
     u_l1 = [float(np.sum(np.abs(u)) * eng.sgrid.cell_volume * eng.vgrid.dv)]
     defect = DefectAccumulator(cell_volume=eng.sgrid.cell_volume, dv=eng.vgrid.dv)
 
-    full = _full_box(eng.sgrid)
     support = _support(u, full)
     for k in range(n_steps):
         t_next = (k + 1) * config.dt
+        src, dst = bufs[k % 2], bufs[(k + 1) % 2]
         win = _window(support, path.increments[k], eng.drift, eng.sgrid)
-        u_tilde = _transport_values(u, path.increments[k], config.dt, eng.sgrid,
+        u_tilde = _transport_values(src, path.increments[k], config.dt, eng.sgrid,
                                     eng.fp, eng.b_grid, win)
         u_win, rho_win = _relax(u_tilde, eng.vgrid, eng.alpha, eng.rho_bounds)
         prefix, low = _defect_prefix(u_tilde, u_win, eng.vgrid.dv)
-        if win == full:
-            u, rho = u_win, rho_win
-        else:
-            # outside the window every value is +0.0, as a full-box step gives
-            u, rho = np.zeros_like(u), np.zeros(eng.sgrid.shape)
-            u[win], rho[win] = u_win, rho_win
-            low = min(low, 0.0)
+        if win != full:
+            low = min(low, 0.0)  # the +0.0 cells outside the window
         defect.accumulate(prefix, low, k * config.dt, u.shape, win)
-        if not np.isfinite(rho.max()) or not np.isfinite(rho.min()):
+        if rho_win.size and not (np.isfinite(rho_win.max()) and np.isfinite(rho_win.min())):
             raise NumericalAbortError(
                 f"non-finite density at step {k + 1} (t = {t_next})",
                 step=k + 1, time=t_next,
             )
+        dst[_in_padded(held[(k + 1) % 2])] = 0.0
+        dst[_in_padded(win)] = u_win
+        held[(k + 1) % 2] = win
+        u = dst[interior]
         support = _support(u, win)  # the window holds the whole support
         if (k + 1) % stride == 0 or k + 1 == n_steps:
             defect.close_slab(t_next)
             snap_times.append(t_next)
-            snaps.append(rho)
+            snaps.append(np.zeros(eng.sgrid.shape))
+            snaps[-1][win] = rho_win
             u_l1.append(float(np.sum(np.abs(u)) * eng.sgrid.cell_volume * eng.vgrid.dv))
 
     return Trajectory(
@@ -484,7 +543,7 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
         rho=np.asarray(snaps),
         u_l1=np.asarray(u_l1),
         defect=defect,
-        final_u=KineticField(eng.sgrid, eng.vgrid, u),
+        final_u=KineticField(eng.sgrid, eng.vgrid, np.ascontiguousarray(u)),
         path=path,
         spec=spec,
         config=config,

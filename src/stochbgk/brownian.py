@@ -36,7 +36,15 @@ class BrownianPath:
                 f"increments shape {self.increments.shape} != {(self.n_steps, self.dim)}"
             )
         # B at the n_steps + 1 node times, B(0) = 0
-        cum = np.vstack([np.zeros((1, self.dim)), np.cumsum(self.increments, axis=0)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            cum = np.vstack([np.zeros((1, self.dim)), np.cumsum(self.increments, axis=0)])
+        bad = np.flatnonzero(~np.all(np.isfinite(cum), axis=1))
+        # a non-finite increment is the engine's to abort on; finite ones must sum finitely
+        if bad.size and np.all(np.isfinite(self.increments[bad[0] - 1])):
+            raise ConfigurationError(
+                f"B(t) at step {bad[0]} (t = {bad[0] * self.dt:g}) is not finite: "
+                f"the sum of {bad[0]} finite increments overflows"
+            )
         self._nodes = cum
 
     @property

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import warnings
-from itertools import repeat
 
 import numpy as np
 
@@ -23,10 +22,16 @@ from .brownian import BrownianPath
 from .errors import ConfigurationError
 
 
+# the one float format of every CSV: 17 significant digits round-trip every double
+_FLOAT = ".17g"
+# cells per % call of write_trajectory_csv: a 2D n = 1024 snapshot is 16 blocks
+_BLOCK = 1 << 16
+
+
 def fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return format(float(x), ".17g")
+    return format(float(x), _FLOAT)
 
 
 def write_rows(fname, header, rows) -> None:
@@ -42,14 +47,27 @@ _HEADERS = {"trajectory": lambda d: ["t", *"ij"[:d], "rho"],
 
 
 def write_trajectory_csv(traj: Trajectory, fname) -> None:
-    """Rows t, i[, j], rho: each snapshot's cells in C order, generated one
-    snapshot at a time."""
-    grid = traj.sgrid
-    index = [[fmt(i) for i in axis]
-             for axis in np.indices(grid.shape).reshape(grid.dim, -1).tolist()]
-    write_rows(fname, _HEADERS["trajectory"](grid.dim),
-               (row for t, field in zip(traj.times, traj.rho)
-                for row in zip(repeat(fmt(t)), *index, field.ravel().tolist())))
+    """Rows t, i[, j], rho: each snapshot's cells in C order, the bytes that
+    write_rows would write.
+
+    Each block of _BLOCK cells has one row template, '%s,i[,j],%.17g' lines
+    built once per call; a snapshot fills it with its time and one %
+    call over the block's values.
+    """
+    shape = traj.sgrid.shape
+    size = math.prod(shape)
+    templates = []
+    for lo in range(0, size, _BLOCK):
+        cells = zip(*(a.tolist() for a in np.unravel_index(
+            np.arange(lo, min(lo + _BLOCK, size)), shape)))
+        templates.append("".join(f"%s,{','.join(map(str, cell))},%{_FLOAT}\r\n"
+                                 for cell in cells))
+    with open(fname, "w", newline="") as fh:
+        fh.write(",".join(_HEADERS["trajectory"](len(shape))) + "\r\n")
+        for t, field in zip(traj.times, traj.rho):
+            stamp, flat = fmt(t), field.ravel()
+            for lo, template in zip(range(0, size, _BLOCK), templates):
+                fh.write(template.replace("%s", stamp) % tuple(flat[lo:lo + _BLOCK].tolist()))
 
 
 def write_defect_csv(traj: Trajectory, fname) -> None:
@@ -130,8 +148,11 @@ def import_path_csv(fname, dt: float) -> BrownianPath:
     dim, table = _read_table(fname, "path")
     if not np.array_equal(table[:, 0], np.arange(len(table))):
         raise ConfigurationError(f"{fname}: steps are not 0..{len(table) - 1} in order")
-    return BrownianPath(dim=dim, dt=dt, horizon=len(table) * dt,
-                        increments=table[:, 1:].copy(), seed=-1)
+    try:
+        return BrownianPath(dim=dim, dt=dt, horizon=len(table) * dt,
+                            increments=table[:, 1:].copy(), seed=-1)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{fname}: {exc}") from exc
 
 
 def file_sha256(fname) -> str:

@@ -21,7 +21,7 @@ from stochbgk.fields import (DensityField, KineticField, check_kinetic_structure
                              lift_density, maxwellian_cell_average)
 from stochbgk.grids import SpatialGrid, VelocityGrid
 from stochbgk.problem import (burgers_const_1d, burgers_tanh_1d, bump_data,
-                              linear_const_1d, plateau_data)
+                              linear_const_1d, plateau_data, random_bv_data)
 
 
 def _lift(spec, n=64, L=3.0, n_v=16):
@@ -164,7 +164,8 @@ class TestKernels:
             fx = X[:, :, None] - dt * fp[None, None, :] * b_grid[..., 0][:, :, None] - dB[0]
             fy = Y[:, :, None] - dt * fp[None, None, :] * b_grid[..., 1][:, :, None] - dB[1]
             ref = _monotone(values, ((fx - x0) / grid.h, (fy - x0) / grid.h))
-        out = bgk._transport_values(values, dB, dt, grid, fp, b_grid, (slice(0, n),) * d)
+        out = bgk._transport_values(_pad(values, d), dB, dt, grid, fp, b_grid,
+                                    (slice(0, n),) * d)
         assert out.shape == ref.shape == values.shape
         assert out.tobytes() == ref.tobytes()
 
@@ -254,6 +255,108 @@ class TestKernelProperties:
         rows = np.broadcast_to(rho, (n_v, rho.size)).copy()
         assert np.array_equal(_single_cell_maxwellian(rows, vg),
                               maxwellian_cell_average(rho, vg).T)
+
+
+# (a, b) pairs at the edges of the no-clamp proof in _monotone_1d, and the
+# weights near 1 where w (b - a) comes closest to b - a
+LERP_PAIRS = {
+    # b - a = 1 + 3 2^-54 rounds up to 1 + 2^-52
+    "rounds_up": [(-1.0, 3 * 2.0**-54)],
+    # fl(b - a) a power of two, exactly or rounded
+    "power_of_two": [(-0.5, 0.5), (0.25, 0.5), (-2.0**-60, 1.0), (2.0**-60, 1.0),
+                     (-1.0, 2.0**-53), (0.0, 2.0**-1021), (-2.0**-1022, 2.0**-1022)],
+    # differences below 2^-1021: subnormal, or normal but exact
+    "subnormal": [(5e-324, 1.5e-323), (-5e-324, 5e-324), (0.0, 5e-324), (-2.5e-310, -2.4e-310),
+                  (2.0**-1022, 2.0**-1021 - 5e-324), (-2.0**-1022, -5e-324)],
+    "mixed_signs": [(-0.75, 0.25), (0.3, -0.7), (-1.0, 1.0), (-5e-324, 1.0),
+                    (-1e-300, 0.9999999999999999), (1e-17, -1.0), (-0.0, 5e-324)],
+}
+WEIGHTS = [0.0, 2.0**-53, 0.5, 0.75, 1 - 2.0**-52, 1 - 2.0**-53]
+
+
+def _lerp_1d(a, b, w):
+    """_monotone_1d between cells 0 and 1 of the box holding a, b."""
+    padded = np.array([0.0, 0.0, a, b, 0.0, 0.0])
+    return bgk._monotone_1d(padded, np.asarray(w, dtype=float))
+
+
+class TestUnclampedLerp:
+    """The 1D lerp stays within its two neighbours with no clamp."""
+
+    @pytest.mark.parametrize("case", LERP_PAIRS)
+    def test_adversarial_pairs_stay_between_the_neighbours(self, case):
+        for a, b in LERP_PAIRS[case]:
+            for lo, hi in ((a, b), (b, a)):
+                out = _lerp_1d(lo, hi, WEIGHTS)
+                assert np.all((out >= min(lo, hi)) & (out <= max(lo, hi))), (lo, hi, out)
+
+    def test_rounded_difference_reaches_b(self):
+        # b - a rounds to 1 + 2^-52 and w d to 1, so the lerp lands on 0 <= b
+        assert _lerp_1d(-1.0, 3 * 2.0**-54, [1 - 2.0**-53])[0] == 0.0
+
+    @given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                              st.floats(0.0, 1.0, exclude_max=True)), min_size=1, max_size=50))
+    def test_random_triples_stay_between_the_neighbours(self, triples):
+        for a, b, w in triples:
+            out = _lerp_1d(a, b, [w])[0]
+            assert min(a, b) <= out <= max(a, b)
+
+    @pytest.mark.parametrize("b", [-1.0, 0.3, -0.0, 5e-324, -5e-324])
+    def test_foot_just_below_the_box_reads_the_first_cell(self, b):
+        # s in (-1, 0): floor(s) = -1 and w = fl(s + 1) rounds to 1, with the
+        # zero pad cell as the lower neighbour
+        s = np.array([-2.0**-60])
+        assert (s - np.floor(s))[0] == 1.0
+        padded = np.array([0.0, 0.0, b, 0.25, 0.0, 0.0])
+        out = bgk._monotone_1d(padded, s)[0]
+        assert out == b and min(0.0, b) <= out <= max(0.0, b)
+
+    def test_negative_lift_step_is_the_clamped_step(self):
+        """One relaxed step from the lift of a sign-changing density equals,
+        byte for byte, the step with the old clamped lerp, though the two
+        transports differ: the clamp made -0.0 of the lerp's +0.0."""
+        spec = burgers_const_1d(random_bv_data(3, pieces=7, amplitude=1.0, floor=-0.5), c=1.0)
+        cfg = BGKConfig(epsilon=0.02, dt=0.01, horizon=0.01, half_width=3.0, n=128, n_v=16,
+                        snapshot_stride=1)
+        path = sample_path(4, cfg.dt, cfg.horizon, dim=1)
+        traj = run_simulation(spec, cfg, path)
+
+        grid, vg, n = traj.sgrid, traj.vgrid, cfg.n
+        rho0 = spec.initial_field(grid).values
+        assert rho0.min() < 0 < rho0.max()
+        lift = maxwellian_cell_average(rho0, vg)
+        fp = np.asarray(spec.f_prime(vg.centers()), dtype=float)
+        b_x = spec.b_on_grid(grid)[:, 0]
+        x0 = -grid.half_width + 0.5 * grid.h
+        s = (grid.centers()[:, 0, None] - cfg.dt * fp * b_x[:, None]
+             - path.increments[0, 0] - x0) / grid.h
+        padded = np.pad(lift, ((2, 2), (0, 0)))
+        base = (np.clip(np.floor(s), -2, n) + 2).astype(int)
+        lo = np.take_along_axis(padded, base, axis=0)
+        hi = np.take_along_axis(padded, base + 1, axis=0)
+        lerp = lo + (s - np.floor(s)) * (hi - lo)
+        clamped = np.clip(lerp, np.minimum(lo, hi), np.maximum(lo, hi))
+
+        u_tilde = transport_substep(KineticField(grid, vg, lift), 0.0, cfg.dt, path, spec)
+        assert u_tilde.values.tobytes() == lerp.tobytes()
+        assert np.any(np.signbit(clamped) != np.signbit(lerp))
+        assert np.array_equal(clamped, lerp)
+
+        bounds = (min(0.0, float(rho0.min())), max(0.0, float(rho0.max())))
+        ref_tilde = KineticField(grid, vg, clamped)
+        ref = relax_substep(ref_tilde, cfg.epsilon, cfg.dt, bounds)
+        ref_rho = np.clip(kinetic_density_values(clamped, vg.dv), *bounds)
+        ref_defect = bgk.DefectAccumulator(grid.cell_volume, vg.dv)
+        raw = vg.dv * np.cumsum(ref.values - clamped, axis=-1)
+        prefix = accumulate_defect(ref_tilde, ref, cfg.epsilon, cfg.dt)
+        ref_defect.accumulate(prefix, float(raw.min()), 0.0, prefix.shape, (slice(0, n),))
+        ref_defect.close_slab(cfg.dt)
+        assert traj.final_u.values.tobytes() == ref.values.tobytes()
+        assert traj.rho[1].tobytes() == ref_rho.tobytes()
+        assert traj.u_l1[1] == np.sum(np.abs(ref.values)) * grid.cell_volume * vg.dv
+        assert (np.asarray(traj.defect.slab_mass).tobytes()
+                == np.asarray(ref_defect.slab_mass).tobytes())
+        assert repr(traj.defect.min_entry) == repr(ref_defect.min_entry)
 
 
 class TestRelax:

@@ -7,11 +7,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from stochbgk.brownian import BrownianPath, sample_path
 from stochbgk.csvio import (export_path_csv, import_path_csv, read_trajectory_csv,
-                            write_trajectory_csv)
+                            write_rows, write_trajectory_csv)
 from stochbgk.errors import ConfigurationError
 from stochbgk.grids import SpatialGrid
 
@@ -56,20 +56,55 @@ def test_trajectory_rows_may_come_in_any_order_and_line_end(tmp_path):
     assert back_rho.tobytes() == rho.tobytes()
 
 
-# B(t) of increments near 1e308 overflows; only the increments are compared
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@given(dim=st.integers(1, 3), data=st.data())
-def test_path_round_trip_is_bit_exact(dim, data):
+def _draw_increments(data, dim):
     steps = data.draw(st.integers(1, 6), label="steps")
     inc = np.array(data.draw(st.lists(VALUES, min_size=steps * dim,
                                       max_size=steps * dim), label="increments"))
-    path = BrownianPath(dim, 0.125, steps * 0.125, inc.reshape(steps, dim), seed=-1)
+    return inc.reshape(steps, dim)
+
+
+def _overflows(inc):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return not np.all(np.isfinite(np.cumsum(inc, axis=0)))
+
+
+@given(dim=st.integers(1, 3), data=st.data())
+def test_path_round_trip_is_bit_exact(dim, data):
+    inc = _draw_increments(data, dim)
+    assume(not _overflows(inc))
+    steps = len(inc)
+    path = BrownianPath(dim, 0.125, steps * 0.125, inc, seed=-1)
     with tempfile.TemporaryDirectory() as tmp:
         fname = Path(tmp) / "path.csv"
         export_path_csv(path, fname)
         back = import_path_csv(fname, dt=0.125)
     assert (back.dim, back.n_steps, back.seed) == (dim, steps, -1)
     assert back.increments.tobytes() == path.increments.tobytes()
+    assert back.values_at_nodes().tobytes() == path.values_at_nodes().tobytes()
+
+
+@given(dim=st.integers(1, 3), data=st.data())
+def test_overflowing_path_is_a_configuration_error(dim, data):
+    """Finite increments whose sum B(t) overflows: the path and a CSV of it
+    are rejected, naming the first step whose B(t) is not finite."""
+    inc = _draw_increments(data, dim)
+    at = data.draw(st.integers(0, len(inc) - 1), label="at")
+    big = data.draw(st.sampled_from([1e308, 1.7976931348623157e308]), label="big")
+    with np.errstate(over="ignore", invalid="ignore"):
+        before = np.cumsum(np.vstack([np.zeros((1, dim)), inc[:at]]), axis=0)[-1]
+        # two increments of B's sign and size at least 1e308 leave the finite range
+        inc = np.concatenate([inc[:at], np.tile(np.where(before < 0, -big, big), (2, 1)),
+                              inc[at:]])
+        first = int(np.flatnonzero(~np.all(np.isfinite(np.cumsum(inc, axis=0)), axis=1))[0]) + 1
+    match = f"B\\(t\\) at step {first} "
+    with pytest.raises(ConfigurationError, match=match):
+        BrownianPath(dim, 0.125, len(inc) * 0.125, inc, seed=-1)
+    with tempfile.TemporaryDirectory() as tmp:
+        fname = Path(tmp) / "path.csv"
+        write_rows(fname, ["step"] + [f"dB{a + 1}" for a in range(dim)],
+                   ((k, *row) for k, row in enumerate(inc.tolist())))
+        with pytest.raises(ConfigurationError, match="path.csv: " + match):
+            import_path_csv(fname, dt=0.125)
 
 
 def _path_lines(tmp_path):
