@@ -1,9 +1,10 @@
 """Executable checks of the quantitative solution properties.
 
-Every check is a pure function of (trajectory, spec, tolerances): re-running
-an audit on stored snapshots reproduces the report bit for bit.  The checks
-a stored bundle supports (maximum principle, BV) take arrays, so the
-``stochbgk audit`` re-audit calls the same functions as the live audit.
+Every row of the standard battery is a pure function of arrays, grids and
+scalars: re-running it on stored snapshots reproduces its verdict bit for
+bit, and the ``stochbgk audit`` re-audit calls the same functions as the
+live audit.  ``run_standard_audit`` is the one place that unpacks a
+Trajectory.
 Stratonovich time integrals are discretized by the midpoint rule on path
 increments; an Ito sum would introduce a spurious drift of order one.
 """
@@ -17,7 +18,6 @@ from typing import Optional
 import numpy as np
 from scipy.ndimage import convolve1d
 
-from .bgk import Trajectory
 from .errors import ConfigurationError
 from .fields import DensityField, _region_slices, discrete_bv, entropy_pair, lp_norm
 from .grids import SpatialGrid
@@ -104,28 +104,6 @@ class VelocityCutoff:
         return out
 
 
-@dataclass(frozen=True)
-class TestFunctionFamily:
-    """Bundle of nonnegative test functions used by the residual checks."""
-
-    bumps: tuple
-    ramp: TemporalRamp
-    cutoff: VelocityCutoff
-
-    @classmethod
-    def default_for(cls, traj: Trajectory) -> "TestFunctionFamily":
-        grid = traj.sgrid
-        t_end = float(traj.times[-1])
-        ramp = max(float(traj.times[1] - traj.times[0]) * 2, t_end / 8)
-        widths = (0.5 * grid.half_width, 0.25 * grid.half_width)
-        centers = [(0.0,) * grid.dim]
-        if grid.dim == 1:
-            centers += [(-0.4 * grid.half_width,), (0.4 * grid.half_width,)]
-        bumps = tuple(SpatialBump(c, w) for c in centers for w in widths)
-        return cls(bumps=bumps, ramp=TemporalRamp(t_end, ramp),
-                   cutoff=VelocityCutoff(k=traj.vgrid.bound))
-
-
 # ---------------------------------------------------------------------------
 # report plumbing
 
@@ -197,9 +175,11 @@ def _ramp_derivative_term(times: np.ndarray, series: np.ndarray,
     return -float(np.trapezoid(vals, knots)) / ramp.ramp
 
 
-def entropy_residual(traj: Trajectory, rho_refs, bumps=None,
+def entropy_residual(rho: np.ndarray, times: np.ndarray, b_nodes: np.ndarray,
+                     grid: SpatialGrid, spec: ProblemSpec, rho_refs, bumps=None,
                      ramp: Optional[TemporalRamp] = None):
-    """Worst signed residual of the entropy-inequality weak form.
+    """Worst signed residual of the entropy-inequality weak form for the
+    snapshots rho at times, with B at those times in b_nodes (n_snap, dim).
 
     For each reference value k and spatial bump the residual assembles
 
@@ -208,21 +188,24 @@ def entropy_residual(traj: Trajectory, rho_refs, bumps=None,
 
     which is nonnegative for entropy solutions up to quadrature error.
     The linear entropies +-rho are always included (weak-form identity), so
-    restricting the family can only increase the minimum.
-    Returns (worst value, list of per-entropy rows).
+    restricting the family can only increase the minimum.  By default the
+    bumps are centred at 0 (and at +-0.4 half widths in 1D) with widths 0.5
+    and 0.25 half widths, and the ramp descends over the last
+    max(2 dt_snap, T/8).  Returns (worst value, list of per-entropy rows).
     """
-    spec = traj.spec
-    grid = traj.sgrid
-    if bumps is None or ramp is None:
-        fam = TestFunctionFamily.default_for(traj)
-        bumps = bumps or fam.bumps
-        ramp = ramp or fam.ramp
+    if bumps is None:
+        widths = (0.5 * grid.half_width, 0.25 * grid.half_width)
+        centers = [(0.0,) * grid.dim]
+        if grid.dim == 1:
+            centers += [(-0.4 * grid.half_width,), (0.4 * grid.half_width,)]
+        bumps = tuple(SpatialBump(c, w) for c in centers for w in widths)
+    if ramp is None:
+        t_end = float(times[-1])
+        ramp = TemporalRamp(t_end, max(float(times[1] - times[0]) * 2, t_end / 8))
     pts = grid.centers()
     vol = grid.cell_volume
-    times = traj.times
     wq = _trapezoid_weights(times)
     psi = ramp(times)
-    b_nodes = traj.path_values_at_snapshots()
     b_grid = spec.b_on_grid(grid)
     div_b_grid = np.asarray(spec.div_b(pts), dtype=float)
     rows = []
@@ -238,10 +221,10 @@ def entropy_residual(traj: Trajectory, rho_refs, bumps=None,
         sum_axes = tuple(range(grid.dim))
         for label, k, c0 in entropies:
             if k is None:
-                eta_t = c0 * traj.rho
-                q_t = c0 * spec.f(traj.rho)
+                eta_t = c0 * rho
+                q_t = c0 * spec.f(rho)
             else:
-                eta_t, q_t = entropy_pair(traj.rho, k, spec)
+                eta_t, q_t = entropy_pair(rho, k, spec)
             e_phi = np.sum(eta_t * phi, axis=tuple(a + 1 for a in sum_axes)) * vol
             q_div = np.sum(q_t * div_bphi, axis=tuple(a + 1 for a in sum_axes)) * vol
             term_dt = _ramp_derivative_term(times, e_phi, ramp)
@@ -257,9 +240,9 @@ def entropy_residual(traj: Trajectory, rho_refs, bumps=None,
     return worst, rows
 
 
-def kinetic_residual(traj: Trajectory, kinetic_snapshots: np.ndarray, defect_fields,
+def kinetic_residual(traj, kinetic_snapshots: np.ndarray, defect_fields,
                      bump: SpatialBump, cutoff: VelocityCutoff) -> float:
-    """Imbalance of the kinetic weak form, defect term included.
+    """Imbalance of the kinetic weak form of a Trajectory, defect term included.
 
     ``kinetic_snapshots`` is u at ``traj.times``, shape (n_snap, *grid shape,
     n_v), and ``defect_fields`` each slab's summed defect prefix, shape
@@ -324,16 +307,16 @@ def check_max_principle(rho: np.ndarray) -> CheckResult:
     return CheckResult("max_principle", sup_t <= bound, sup_t, bound, 0.0)
 
 
-def check_l1_growth(traj: Trajectory, spec: ProblemSpec) -> CheckResult:
-    """||rho(t)||_1 <= ||u(t)||_1 <= e^{C0 t} ||rho0||_1 (1 + 1e-6)."""
+def check_l1_growth(rho: np.ndarray, u_l1: np.ndarray, times: np.ndarray,
+                    grid: SpatialGrid, c0: float) -> CheckResult:
+    """||rho(t)||_1 <= ||u(t)||_1 <= e^{C0 t} ||rho0||_1 (1 + 1e-6) over
+    snapshots rho on grid with kinetic norms u_l1 at times."""
     tol = 1e-6
-    c0 = spec.growth_rate(traj.vgrid.bound)
-    vol = traj.sgrid.cell_volume
-    rho_l1 = np.sum(np.abs(traj.rho), axis=tuple(range(1, traj.rho.ndim))) * vol
-    envelope = np.exp(c0 * traj.times) * rho_l1[0] * (1.0 + tol)
-    ok_env = bool(np.all(traj.u_l1 <= envelope))
-    ok_order = bool(np.all(rho_l1 <= traj.u_l1 * (1.0 + 1e-12) + 1e-300))
-    measured = float(np.max(traj.u_l1 / np.maximum(envelope, 1e-300)))
+    rho_l1 = np.sum(np.abs(rho), axis=tuple(range(1, rho.ndim))) * grid.cell_volume
+    envelope = np.exp(c0 * times) * rho_l1[0] * (1.0 + tol)
+    ok_env = bool(np.all(u_l1 <= envelope))
+    ok_order = bool(np.all(rho_l1 <= u_l1 * (1.0 + 1e-12) + 1e-300))
+    measured = float(np.max(u_l1 / np.maximum(envelope, 1e-300)))
     return CheckResult("l1_growth", ok_env and ok_order, measured, 1.0, tol)
 
 
@@ -353,17 +336,19 @@ def check_bv_nonincrease(rho: np.ndarray, grid: SpatialGrid,
     return CheckResult("bv_nonincrease", worst <= bv0 * (1 + tol), worst, bv0, tol)
 
 
-def check_energy_defect_identity(traj: Trajectory, spec: ProblemSpec) -> CheckResult:
-    """2 mass(m) matches ||rho0||_2^2 - ||rho(T)||_2^2 within 5 percent.
+def check_energy_defect_identity(rho: np.ndarray, slab_mass, grid: SpatialGrid,
+                                 spec: ProblemSpec) -> CheckResult:
+    """2 mass(m) matches ||rho0||_2^2 - ||rho(T)||_2^2 within 5 percent, m
+    the defect slab masses and rho0, rho(T) the first and last snapshots.
 
     Valid in the divergence-free regime; otherwise reported as skipped.
     """
     if not spec.div_free:
         return CheckResult("energy_defect", True, 0.0, 0.0, 0.0,
                            note="skipped: div b != 0")
-    l2_0 = lp_norm(traj.initial(), 2) ** 2
-    l2_t = lp_norm(traj.final(), 2) ** 2
-    lhs = 2.0 * traj.defect.total_mass()
+    l2_0 = lp_norm(DensityField(grid, rho[0]), 2) ** 2
+    l2_t = lp_norm(DensityField(grid, rho[-1]), 2) ** 2
+    lhs = 2.0 * float(sum(slab_mass))
     rhs = l2_0 - l2_t
     tol = 0.05 * l2_0
     gap = abs(lhs - rhs)
@@ -371,24 +356,26 @@ def check_energy_defect_identity(traj: Trajectory, spec: ProblemSpec) -> CheckRe
                        note=f"2m={lhs:.4g} dE={rhs:.4g}")
 
 
-def check_defect_structure(traj: Trajectory, spec: ProblemSpec) -> CheckResult:
-    """m >= -1e-12, support in [-N, N], mass within the a-priori envelope."""
-    n_bound = traj.vgrid.bound
-    c0 = spec.growth_rate(n_bound)
-    t_end = float(traj.times[-1])
-    rho0_l1 = lp_norm(traj.initial(), 1)
+def check_defect_structure(rho0: np.ndarray, slab_mass, min_entry: float,
+                           t_end: float, grid: SpatialGrid, v_bound: float,
+                           c0: float) -> CheckResult:
+    """m >= -1e-12 (min_entry: the most negative raw prefix entry), support
+    in [-N, N] (N = v_bound), and the summed slab masses of m up to t_end
+    within the a-priori envelope of the initial density rho0."""
+    rho0_l1 = lp_norm(DensityField(grid, rho0), 1)
     envelope = math.sqrt(
-        12.0 * n_bound**2 * (math.exp(2 * c0 * t_end) + 1.0
+        12.0 * v_bound**2 * (math.exp(2 * c0 * t_end) + 1.0
                              + c0**2 * t_end**2 * math.exp(2 * c0 * t_end))
     ) * rho0_l1
-    mass = traj.defect.total_mass()
-    ok = traj.defect.min_entry >= -1e-12 and mass <= envelope
+    mass = float(sum(slab_mass))
+    ok = min_entry >= -1e-12 and mass <= envelope
     return CheckResult("defect_structure", ok, mass, envelope, 1e-12,
-                       note=f"min entry {traj.defect.min_entry:.2e}")
+                       note=f"min entry {min_entry:.2e}")
 
 
-def check_comparison(traj_lo: Trajectory, traj_hi: Trajectory) -> CheckResult:
-    """Ordered initial data stay ordered: min(rho_hi - rho_lo) >= -1e-10."""
+def check_comparison(traj_lo, traj_hi) -> CheckResult:
+    """Ordered initial data of two Trajectories stay ordered:
+    min(rho_hi - rho_lo) >= -1e-10."""
     if not np.array_equal(traj_lo.path.increments, traj_hi.path.increments):
         raise ConfigurationError("comparison runs must share the Brownian path")
     if not traj_lo.sgrid.compatible(traj_hi.sgrid):
@@ -402,8 +389,9 @@ def check_comparison(traj_lo: Trajectory, traj_hi: Trajectory) -> CheckResult:
     return CheckResult("comparison", worst >= -1e-10, worst, 0.0, 1e-10)
 
 
-def fit_holder_exponent(traj: Trajectory, region=None):
-    """Log-log least squares of the L1 time modulus against dyadic lags.
+def fit_holder_exponent(traj, region=None):
+    """Log-log least squares of a Trajectory's L1 time modulus against
+    dyadic lags.
 
     At most six lags, from 4 dt_snap up to T/8; the modulus at each lag
     averages over all admissible window pairs.  Returns (alpha, C,
@@ -518,18 +506,23 @@ def commutator_experiment(b_fn, w_fn, eps_list, grid: SpatialGrid, region,
 # ---------------------------------------------------------------------------
 # standard audit bundle
 
-def run_standard_audit(traj: Trajectory, spec: ProblemSpec,
-                       entropy_tol: Optional[float] = None) -> AuditReport:
-    """The default battery: max principle, L1 growth, BV, defect, energy,
-    and (when a tolerance is supplied) the entropy residual."""
-    report = AuditReport([check_max_principle(traj.rho), check_l1_growth(traj, spec),
-                          check_bv_nonincrease(traj.rho, traj.sgrid, traj.spec),
-                          check_defect_structure(traj, spec),
-                          check_energy_defect_identity(traj, spec)])
+def run_standard_audit(traj, entropy_tol: Optional[float] = None) -> AuditReport:
+    """The default battery on a Trajectory: max principle, L1 growth, BV,
+    defect, energy, and (when a tolerance is supplied) the entropy residual."""
+    rho, times, grid, spec = traj.rho, traj.times, traj.sgrid, traj.spec
+    n_bound = traj.vgrid.bound
+    c0 = spec.growth_rate(n_bound)
+    report = AuditReport([
+        check_max_principle(rho),
+        check_l1_growth(rho, traj.u_l1, times, grid, c0),
+        check_bv_nonincrease(rho, grid, spec),
+        check_defect_structure(rho[0], traj.slab_mass, traj.min_entry, float(times[-1]),
+                               grid, n_bound, c0),
+        check_energy_defect_identity(rho, traj.slab_mass, grid, spec)])
     if entropy_tol is not None:
-        n_bound = traj.vgrid.bound
         refs = [k * n_bound for k in (-0.75, -0.25, 0.0, 0.25, 0.5, 0.75)]
-        worst, _ = entropy_residual(traj, refs)
+        worst, _ = entropy_residual(rho, times, traj.path_values_at_snapshots(), grid,
+                                    spec, refs)
         report.entries.append(CheckResult("entropy_residual", worst >= -entropy_tol,
                                           worst, 0.0, entropy_tol))
     return report

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -89,57 +89,24 @@ class BGKConfig:
 
 
 @dataclass
-class DefectAccumulator:
-    """Nonnegative kinetic defect mass per time slab.
-
-    Tracks the per-slab total mass and the most negative raw entry seen;
-    each slab's (x, v) prefix field is summed in a buffer that close_slab
-    reduces and drops.
-    """
-
-    cell_volume: float
-    dv: float
-    slab_times: list = field(default_factory=list)
-    slab_mass: list = field(default_factory=list)
-    min_entry: float = 0.0
-
-    _buffer: Optional[np.ndarray] = None
-    _buffer_start: float = 0.0
-
-    def accumulate(self, prefix: np.ndarray, raw_min: float, t: float,
-                   shape: tuple, win: tuple) -> None:
-        """Add one step's clamped defect prefix (already scaled by dv in v),
-        computed on the cells win of a field of the given shape; raw_min is
-        the field's minimum before the clamp."""
-        self.min_entry = min(self.min_entry, raw_min)
-        if self._buffer is None:
-            self._buffer = np.zeros(shape)
-            self._buffer_start = t
-        view = self._buffer[win]
-        view += prefix
-
-    def close_slab(self, t_end: float) -> None:
-        if self._buffer is None:
-            return
-        self.slab_times.append((self._buffer_start, t_end))
-        self.slab_mass.append(float(self._buffer.sum()) * self.cell_volume * self.dv)
-        self._buffer = None
-
-    def total_mass(self) -> float:
-        return float(sum(self.slab_mass))
-
-
-@dataclass
 class Trajectory:
     """Snapshots, norms, defect, and provenance of one run; the picard_*
-    fields are set by picard_solve only."""
+    fields are set by picard_solve only.
+
+    Slab k of the kinetic defect measure runs from snapshot k to snapshot
+    k + 1: ``slab_times[k]`` is its (start, end) and ``slab_mass[k]`` the sum
+    of its steps' clamped dv-prefix fields times the cell volume and dv.
+    ``min_entry`` is the most negative raw prefix entry of the run, or 0.0.
+    """
 
     sgrid: SpatialGrid
     vgrid: VelocityGrid
     times: np.ndarray
     rho: np.ndarray                      # (n_snap, *grid shape)
     u_l1: np.ndarray                     # kinetic L1 norm per snapshot
-    defect: DefectAccumulator
+    slab_times: list
+    slab_mass: list
+    min_entry: float
     final_u: KineticField
     path: BrownianPath
     spec: ProblemSpec
@@ -491,7 +458,9 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
     window is +0.0, so the non-finite check reads the window's density, and
     the full density is built only at snapshots.  u_l1 sums np.abs of the
     interior, a fresh C-ordered array of the full shape, so np.sum's
-    pairwise order, which depends on the shape, is that of a full-box step.
+    pairwise order, which depends on the shape, is that of a full-box step;
+    for the same reason a slab's defect prefixes are added into the windows
+    of one full-shape buffer, which each snapshot sums and zeros.
     """
     eng = _Engine(spec, config, path)
     n_steps = config.n_steps
@@ -504,8 +473,10 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
 
     snap_times = [0.0]
     snaps = [eng.rho0.values.copy()]
-    u_l1 = [float(np.sum(np.abs(u)) * eng.sgrid.cell_volume * eng.vgrid.dv)]
-    defect = DefectAccumulator(cell_volume=eng.sgrid.cell_volume, dv=eng.vgrid.dv)
+    vol, dv = eng.sgrid.cell_volume, eng.vgrid.dv
+    u_l1 = [float(np.sum(np.abs(u)) * vol * dv)]
+    slab = np.zeros(u.shape)  # the open slab's summed defect prefix
+    slab_times, slab_mass, min_entry = [], [], 0.0
 
     support = _support(u, full)
     for k in range(n_steps):
@@ -515,10 +486,9 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
         u_tilde = _transport_values(src, path.increments[k], config.dt, eng.sgrid,
                                     eng.fp, eng.b_grid, win)
         u_win, rho_win = _relax(u_tilde, eng.vgrid, eng.alpha, eng.rho_bounds)
-        prefix, low = _defect_prefix(u_tilde, u_win, eng.vgrid.dv)
-        if win != full:
-            low = min(low, 0.0)  # the +0.0 cells outside the window
-        defect.accumulate(prefix, low, k * config.dt, u.shape, win)
+        prefix, low = _defect_prefix(u_tilde, u_win, dv)
+        min_entry = min(min_entry, low)  # 0.0 covers the +0.0 cells outside the window
+        slab[win] += prefix
         if rho_win.size and not (np.isfinite(rho_win.max()) and np.isfinite(rho_win.min())):
             raise NumericalAbortError(
                 f"non-finite density at step {k + 1} (t = {t_next})",
@@ -530,11 +500,13 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
         u = dst[interior]
         support = _support(u, win)  # the window holds the whole support
         if (k + 1) % stride == 0 or k + 1 == n_steps:
-            defect.close_slab(t_next)
+            slab_times.append((snap_times[-1], t_next))
+            slab_mass.append(float(slab.sum()) * vol * dv)
+            slab[...] = 0.0
             snap_times.append(t_next)
             snaps.append(np.zeros(eng.sgrid.shape))
             snaps[-1][win] = rho_win
-            u_l1.append(float(np.sum(np.abs(u)) * eng.sgrid.cell_volume * eng.vgrid.dv))
+            u_l1.append(float(np.sum(np.abs(u)) * vol * dv))
 
     return Trajectory(
         sgrid=eng.sgrid,
@@ -542,7 +514,9 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
         times=np.asarray(snap_times),
         rho=np.asarray(snaps),
         u_l1=np.asarray(u_l1),
-        defect=defect,
+        slab_times=slab_times,
+        slab_mass=slab_mass,
+        min_entry=min_entry,
         final_u=KineticField(eng.sgrid, eng.vgrid, np.ascontiguousarray(u)),
         path=path,
         spec=spec,
@@ -590,9 +564,9 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
     and when the residual grows on three successive iterations of one window.
     ``picard_residuals`` holds each window's L1 residual per iteration and
     ``picard_ratios`` the quotients of successive residuals within a window,
-    all windows in order.  The returned trajectory carries an empty defect
-    accumulator: this mode is a fidelity cross-check of the splitting
-    engine, which owns the defect.
+    all windows in order.  The returned trajectory carries no defect slabs:
+    this mode is a fidelity cross-check of the splitting engine, which owns
+    the defect.
 
     On a window, rho_m reads only rho_l with l < m: the map is strictly
     lower-triangular, hence nilpotent.  Row m is final after sweep m - 1,
@@ -712,13 +686,12 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
     times = np.asarray([i * dt for i in snap_idx])
     snaps = rho_hist[snap_idx]
     final_u = KineticField(eng.sgrid, eng.vgrid, u_hist[-1])
-    defect = DefectAccumulator(cell_volume=eng.sgrid.cell_volume, dv=dv)
     # kinetic state exists only at window boundaries here; the density L1 is
     # the exact lower bound for ||u||_1 and coincides for one-signed data
     u_l1 = np.asarray([float(np.sum(np.abs(r))) * eng.sgrid.cell_volume for r in snaps])
     return Trajectory(
         sgrid=eng.sgrid, vgrid=eng.vgrid, times=times, rho=snaps,
-        u_l1=u_l1, defect=defect, final_u=final_u, path=path, spec=spec,
+        u_l1=u_l1, slab_times=[], slab_mass=[], min_entry=0.0, final_u=final_u, path=path, spec=spec,
         config=config, picard_ratios=ratios, picard_bound=bound,
         picard_residuals=residuals,
     )

@@ -48,7 +48,7 @@ def cmd_simulate(cfg, seed, out) -> int:
     bgk_cfg = build_bgk_config(cfg)
     path = sample_path(seed, bgk_cfg.dt, bgk_cfg.horizon, dim=spec.dim)
     traj = run_simulation(spec, bgk_cfg, path)
-    report = run_standard_audit(traj, spec, entropy_tol=audit_entropy_tol(cfg))
+    report = run_standard_audit(traj, entropy_tol=audit_entropy_tol(cfg))
     files = [os.path.join(out, name) for name in ("trajectory.csv", "defect.csv", "audit.csv")]
     write_trajectory_csv(traj, files[0])
     write_defect_csv(traj, files[1])

@@ -296,11 +296,7 @@ def stochastic_counterpart(data: CounterexampleData, t, resolutions,
             traj = run_simulation(spec, config, path)
             return discrete_bv(traj.final())
 
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                bvs = list(pool.map(one, range(n_paths)))
-        else:
-            bvs = [one(k) for k in range(n_paths)]
-        bvs = np.asarray(bvs)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            bvs = np.asarray(list(pool.map(one, range(n_paths))))
         rows.append((n, grid_h, float(bvs.mean()), float(bvs.std()), n_paths))
     return rows

@@ -1,5 +1,4 @@
-"""Stable CSV emission and parsing for trajectories, Brownian paths, tables,
-and reports.
+"""Stable CSV emission and parsing for trajectories, tables and reports.
 
 All floats are written with repr-quality precision so that reruns of the
 same seeded experiment produce byte-identical files.  The readers accept
@@ -18,7 +17,6 @@ import warnings
 import numpy as np
 
 from .bgk import Trajectory
-from .brownian import BrownianPath
 from .errors import ConfigurationError
 
 
@@ -42,8 +40,8 @@ def write_rows(fname, header, rows) -> None:
             w.writerow([v if isinstance(v, str) else fmt(v) for v in row])
 
 
-_HEADERS = {"trajectory": lambda d: ["t", *"ij"[:d], "rho"],
-           "path": lambda d: ["step"] + [f"dB{a + 1}" for a in range(d)]}
+def _trajectory_header(dim: int) -> list:
+    return ["t", *"ij"[:dim], "rho"]
 
 
 def write_trajectory_csv(traj: Trajectory, fname) -> None:
@@ -63,7 +61,7 @@ def write_trajectory_csv(traj: Trajectory, fname) -> None:
         templates.append("".join(f"%s,{','.join(map(str, cell))},%{_FLOAT}\r\n"
                                  for cell in cells))
     with open(fname, "w", newline="") as fh:
-        fh.write(",".join(_HEADERS["trajectory"](len(shape))) + "\r\n")
+        fh.write(",".join(_trajectory_header(len(shape))) + "\r\n")
         for t, field in zip(traj.times, traj.rho):
             stamp, flat = fmt(t), field.ravel()
             for lo, template in zip(range(0, size, _BLOCK), templates):
@@ -72,7 +70,7 @@ def write_trajectory_csv(traj: Trajectory, fname) -> None:
 
 def write_defect_csv(traj: Trajectory, fname) -> None:
     rows = [(t0, t1, m) for (t0, t1), m in
-            zip(traj.defect.slab_times, traj.defect.slab_mass)]
+            zip(traj.slab_times, traj.slab_mass)]
     write_rows(fname, ["t_slab_start", "t_slab_end", "mass"], rows)
 
 
@@ -81,14 +79,8 @@ def write_audit_csv(report, fname) -> None:
                [e.row() for e in report.entries])
 
 
-def export_path_csv(path: BrownianPath, fname) -> None:
-    """Columns step, dB1..dBd: one row per path step."""
-    write_rows(fname, _HEADERS["path"](path.dim),
-               ((k, *inc) for k, inc in enumerate(path.increments.tolist())))
-
-
-def _read_table(fname, kind):
-    """(d, float body) of a CSV that ``write_rows`` wrote under _HEADERS[kind](d).
+def _read_table(fname):
+    """(d, float body) of a CSV written under _trajectory_header(d).
 
     Every row must have the header's field count and only finite numbers, and
     the body may not be empty.  Both \\r\\n and \\n line ends are read, but
@@ -108,9 +100,9 @@ def _read_table(fname, kind):
             table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:  # a short row, a non-numeric value, bad UTF-8
         raise ConfigurationError(f"{fname}: {exc}") from exc
-    dim = len(header) - len(_HEADERS[kind](0))
-    if dim < 1 or header != _HEADERS[kind](dim):
-        raise ConfigurationError(f"{fname}: unrecognized {kind} header {header}")
+    dim = len(header) - len(_trajectory_header(0))
+    if dim < 1 or header != _trajectory_header(dim):
+        raise ConfigurationError(f"{fname}: unrecognized trajectory header {header}")
     if len(table) == 0 or table.shape[1] != len(header):
         raise ConfigurationError(f"{fname}: {len(table)} rows of {table.shape[1]} "
                                  f"fields under a header of {len(header)}")
@@ -127,7 +119,7 @@ def read_trajectory_csv(fname):
 
     Rows may come in any order, but each (t, cell) of the n^d grid, n one
     more than the largest index, must appear exactly once."""
-    dim, table = _read_table(fname, "trajectory")
+    dim, table = _read_table(fname)
     times, t_index = np.unique(table[:, 0], return_inverse=True)
     cells = table[:, 1:-1]
     if not np.all((cells >= 0) & (cells == np.floor(cells))):
@@ -141,18 +133,6 @@ def read_trajectory_csv(fname):
     rho = np.empty(len(flat))
     rho[flat] = table[:, -1]
     return times, rho.reshape(shape), dim
-
-
-def import_path_csv(fname, dt: float) -> BrownianPath:
-    """Inverse of ``export_path_csv``: the steps must be 0..n-1 in order."""
-    dim, table = _read_table(fname, "path")
-    if not np.array_equal(table[:, 0], np.arange(len(table))):
-        raise ConfigurationError(f"{fname}: steps are not 0..{len(table) - 1} in order")
-    try:
-        return BrownianPath(dim=dim, dt=dt, horizon=len(table) * dt,
-                            increments=table[:, 1:].copy(), seed=-1)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{fname}: {exc}") from exc
 
 
 def file_sha256(fname) -> str:

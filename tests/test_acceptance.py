@@ -19,15 +19,15 @@ from stochbgk.audit import (SpatialBump, check_comparison,
                             check_energy_defect_identity, check_l1_growth,
                             check_max_principle, commutator_experiment,
                             entropy_residual, fit_holder_exponent)
-from stochbgk.bgk import (BGKConfig, DefectAccumulator, Trajectory,
-                          epsilon_continuation, picard_solve, run_simulation)
+from stochbgk.bgk import (BGKConfig, epsilon_continuation, picard_solve,
+                          run_simulation)
 from stochbgk.brownian import sample_path, sample_paths, levy_modulus_statistic
 from stochbgk.counterexample import (b1, b1_prime, b2, b2_prime,
                                      bv_growth_experiment, cusp_data,
                                      smooth_control_data,
                                      stochastic_counterpart)
-from stochbgk.fields import DensityField, KineticField, discrete_bv, lp_norm
-from stochbgk.grids import SpatialGrid, VelocityGrid
+from stochbgk.fields import DensityField, discrete_bv, lp_norm
+from stochbgk.grids import SpatialGrid
 from stochbgk.oracles import shift_reduction_oracle
 from stochbgk.problem import (burgers_const_1d, burgers_tanh_1d, bump_data,
                               plateau_data, random_bv_data)
@@ -72,15 +72,9 @@ def test_criterion_01_max_principle(burgers_run, divb_run):
     for traj, spec, _, _ in (burgers_run, divb_run):
         res = check_max_principle(traj.rho)
         ok &= res.passed and res.measured <= res.bound  # zero tolerance
-    traj, spec, cfg, path = burgers_run
-    bad = traj.rho.copy()
+    bad = burgers_run[0].rho.copy()
     bad[5, 40] = 1.5 * np.max(np.abs(bad[0]))
-    vg = traj.vgrid
-    corrupted = Trajectory(
-        sgrid=traj.sgrid, vgrid=vg, times=traj.times, rho=bad,
-        u_l1=traj.u_l1, defect=DefectAccumulator(traj.sgrid.cell_volume, vg.dv),
-        final_u=traj.final_u, path=path, spec=spec, config=cfg)
-    control_fails = not check_max_principle(corrupted.rho).passed
+    control_fails = not check_max_principle(bad).passed
     ok &= control_fails
     assert _report(1, ok, "sup_t ||rho||_inf <= ||rho0||_inf exactly; "
                           "corrupted field rejected")
@@ -89,7 +83,8 @@ def test_criterion_01_max_principle(burgers_run, divb_run):
 def test_criterion_02_l1_envelope(burgers_run, divb_run):
     ok = True
     for traj, spec, _, _ in (burgers_run, divb_run):
-        ok &= check_l1_growth(traj, spec).passed
+        ok &= check_l1_growth(traj.rho, traj.u_l1, traj.times, traj.sgrid,
+                              spec.growth_rate(traj.vgrid.bound)).passed
     # equality to 1e-10 relative: divergence-free, zeroed path, one-signed data
     T = 0.32
     dt = T / 256
@@ -105,8 +100,10 @@ def test_criterion_02_l1_envelope(burgers_run, divb_run):
 
 def test_criterion_03_defect_structure(burgers_run, full_box_run):
     traj, spec, cfg, path = burgers_run
-    res = check_defect_structure(traj, spec)
-    ok = res.passed and traj.defect.min_entry >= -1e-12
+    res = check_defect_structure(traj.rho[0], traj.slab_mass, traj.min_entry,
+                                 float(traj.times[-1]), traj.sgrid, traj.vgrid.bound,
+                                 spec.growth_rate(traj.vgrid.bound))
+    ok = res.passed and traj.min_entry >= -1e-12
     ok &= traj.vgrid.bound >= lp_norm(traj.initial(), np.inf)
     # support: the accumulated prefix telescopes to ~0 at the top edge v = N;
     # the slab fields are the replay's, whose slab masses are the engine's
@@ -118,13 +115,13 @@ def test_criterion_03_defect_structure(burgers_run, full_box_run):
     path_e = sample_path(9, dt, T, dim=1)
     traj_e = run_simulation(spec_e, cfg_e, path_e)
     replay = full_box_run(spec_e, cfg_e, path_e)
-    assert (np.asarray(replay.defect.slab_mass).tobytes()
-            == np.asarray(traj_e.defect.slab_mass).tobytes())
+    assert (np.asarray(replay.slab_mass).tobytes()
+            == np.asarray(traj_e.slab_mass).tobytes())
     top = max(float(np.max(np.abs(f[..., -1]))) for f in replay.defect_fields)
     ok &= top <= 1e-12
-    energy = check_energy_defect_identity(traj_e, spec_e)
+    energy = check_energy_defect_identity(traj_e.rho, traj_e.slab_mass, traj_e.sgrid, spec_e)
     ok &= energy.passed
-    assert _report(3, ok, f"m >= {traj.defect.min_entry:.1e}, mass "
+    assert _report(3, ok, f"m >= {traj.min_entry:.1e}, mass "
                           f"{res.measured:.3g} <= envelope {res.bound:.3g}, "
                           f"energy gap {energy.measured:.3g} <= {energy.bound:.3g}")
 
@@ -411,7 +408,8 @@ def test_criterion_13_entropy_residual():
         cfg = BGKConfig(epsilon=dt, dt=dt, horizon=T, half_width=L, n=n,
                         n_v=32, snapshot_stride=1)
         traj = run_simulation(spec, cfg, sample_path(9, dt, T, dim=1))
-        worst, _ = entropy_residual(traj, REFS)
+        worst, _ = entropy_residual(traj.rho, traj.times, traj.path_values_at_snapshots(),
+                                    traj.sgrid, spec, REFS)
         worsts.append(worst)
         scales.append(h + dt + dt)
     K = 2.0 * abs(worsts[0]) / scales[0]
@@ -426,19 +424,10 @@ def test_criterion_13_entropy_residual():
     n_steps = round(T / (0.5 * grid.h))
     dtf = T / n_steps
     spec_bad = burgers_const_1d(riemann_data(-1.0, 1.0, 0.0), c=1.0)
-    cfg_bad = BGKConfig(epsilon=dtf, dt=dtf, horizon=T, half_width=L, n=n,
-                        n_v=32, snapshot_stride=1)
-    vg = VelocityGrid.for_density_bound(1.0, 32)
     stepfield = np.where(grid.axis_centers() < 0, -1.0, 1.0)
     rho = np.tile(stepfield, (n_steps + 1, 1))
-    bad = Trajectory(
-        sgrid=grid, vgrid=vg, times=np.arange(n_steps + 1) * dtf, rho=rho,
-        u_l1=np.ones(n_steps + 1),
-        defect=DefectAccumulator(grid.cell_volume, vg.dv),
-        final_u=KineticField(grid, vg, np.zeros(grid.shape + (vg.n_v,))),
-        path=sample_path(9, dtf, T, dim=1).zeroed(), spec=spec_bad,
-        config=cfg_bad)
-    worst_bad, _ = entropy_residual(bad, REFS)
+    worst_bad, _ = entropy_residual(rho, np.arange(n_steps + 1) * dtf,
+                                    np.zeros((n_steps + 1, 1)), grid, spec_bad, REFS)
     control_ok = worst_bad <= -10.0 * tols[-1]
     ok = resid_ok and tol_ok and control_ok
     assert _report(13, ok, f"residuals {['%.5f' % w for w in worsts]} >= -tol "

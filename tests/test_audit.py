@@ -1,5 +1,7 @@
 """Audit checks: residuals, bounds, comparison, Holder fits, commutator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,10 @@ from stochbgk.audit import (AuditReport, SpatialBump, TemporalRamp,
                             check_max_principle, commutator_experiment,
                             entropy_residual, fit_holder_exponent,
                             kinetic_residual, run_standard_audit)
-from stochbgk.bgk import BGKConfig, DefectAccumulator, Trajectory, run_simulation
+from stochbgk.bgk import BGKConfig, run_simulation
 from stochbgk.brownian import sample_path
 from stochbgk.errors import ConfigurationError
-from stochbgk.fields import KineticField
-from stochbgk.grids import SpatialGrid, VelocityGrid
+from stochbgk.grids import SpatialGrid
 from stochbgk.problem import (burgers_const_1d, burgers_tanh_1d, bump_data,
                               plateau_data, random_bv_data, riemann_data)
 
@@ -33,17 +34,18 @@ def _run(spec=None, seed=9, T=0.24, n=192, dt_frac=64, eps_mult=2,
     return run_simulation(spec, cfg, path), spec, cfg, path
 
 
-def _synthetic(spec, cfg, path, rho_array, times=None):
-    grid = SpatialGrid(1, cfg.half_width, rho_array.shape[1])
-    vg = VelocityGrid.for_density_bound(float(np.max(np.abs(rho_array))) or 1.0,
-                                        cfg.n_v)
-    times = times if times is not None else np.arange(rho_array.shape[0]) * cfg.dt
-    dummy = KineticField(grid, vg, np.zeros(grid.shape + (vg.n_v,)))
-    return Trajectory(
-        sgrid=grid, vgrid=vg, times=times, rho=rho_array,
-        u_l1=np.sum(np.abs(rho_array), axis=1) * grid.h,
-        defect=DefectAccumulator(grid.cell_volume, vg.dv),
-        final_u=dummy, path=path, spec=spec, config=cfg)
+def _entropy(traj, refs, **kw):
+    """entropy_residual of a run's snapshots."""
+    return entropy_residual(traj.rho, traj.times, traj.path_values_at_snapshots(),
+                            traj.sgrid, traj.spec, refs, **kw)
+
+
+def _c0(traj):
+    return traj.spec.growth_rate(traj.vgrid.bound)
+
+
+def _l1_growth(traj):
+    return check_l1_growth(traj.rho, traj.u_l1, traj.times, traj.sgrid, _c0(traj))
 
 
 class TestTestFunctions:
@@ -87,17 +89,15 @@ class TestTestFunctions:
 class TestEntropyResidual:
     def test_constant_state_no_field_is_zero(self):
         spec = burgers_const_1d(lambda g: np.zeros(g.shape), c=0.0)
-        cfg = BGKConfig(epsilon=0.02, dt=0.01, horizon=0.2, half_width=3.0,
-                        n=64, n_v=8, snapshot_stride=1)
         path = sample_path(1, 0.01, 0.2, dim=1)
         rho = np.zeros((21, 64))
-        traj = _synthetic(spec, cfg, path, rho)
-        worst, _ = entropy_residual(traj, REFS)
+        worst, _ = entropy_residual(rho, np.arange(21) * 0.01, path.values_at_nodes(),
+                                    SpatialGrid(1, 3.0, 64), spec, REFS)
         assert abs(worst) <= 1e-12
 
     def test_solver_output_nearly_nonnegative(self):
         traj, spec, cfg, _ = _run()
-        worst, _ = entropy_residual(traj, REFS)
+        worst, _ = _entropy(traj, REFS)
         scale = traj.sgrid.h + cfg.dt + cfg.epsilon
         assert worst >= -1.5 * scale
 
@@ -105,34 +105,30 @@ class TestEntropyResidual:
         worsts = []
         for n, frac in ((96, 48), (192, 96), (384, 192)):
             traj, _, cfg, _ = _run(n=n, dt_frac=frac, eps_mult=1)
-            worst, _ = entropy_residual(traj, REFS)
+            worst, _ = _entropy(traj, REFS)
             worsts.append(worst)
         assert abs(worsts[2]) < abs(worsts[0])
 
     def test_expansion_shock_fails_hard(self):
         spec = burgers_const_1d(riemann_data(-1.0, 1.0, 0.0), c=1.0)
-        cfg = BGKConfig(epsilon=0.01, dt=0.005, horizon=0.3, half_width=3.0,
-                        n=256, n_v=16, snapshot_stride=1)
-        path = sample_path(1, 0.005, 0.3, dim=1).zeroed()
         grid = SpatialGrid(1, 3.0, 256)
         stepf = np.where(grid.axis_centers() < 0, -1.0, 1.0)
         rho = np.tile(stepf, (61, 1))
-        traj = _synthetic(spec, cfg, path, rho)
-        worst, _ = entropy_residual(traj, REFS)
+        worst, _ = entropy_residual(rho, np.arange(61) * 0.005, np.zeros((61, 1)), grid,
+                                    spec, REFS)
         assert worst < -0.05
 
     def test_family_monotonicity(self):
         traj, spec, cfg, _ = _run()
-        worst_small, _ = entropy_residual(traj, [0.5])
-        worst_full, _ = entropy_residual(traj, REFS)
+        worst_small, _ = _entropy(traj, [0.5])
+        worst_full, _ = _entropy(traj, REFS)
         assert worst_small >= worst_full
 
     def test_bump_touching_boundary_rejected(self):
         traj, spec, cfg, _ = _run(n=64)
         with pytest.raises(ConfigurationError):
-            entropy_residual(traj, [0.0],
-                             bumps=(SpatialBump((0.0,), 10.0),),
-                             ramp=TemporalRamp(traj.times[-1], 0.05))
+            _entropy(traj, [0.0], bumps=(SpatialBump((0.0,), 10.0),),
+                     ramp=TemporalRamp(traj.times[-1], 0.05))
 
     def test_2d_shear_run_nearly_nonnegative(self):
         from stochbgk.problem import make_spec, linear_flux, shear_field_2d
@@ -143,7 +139,7 @@ class TestEntropyResidual:
         cfg = BGKConfig(epsilon=2 * dt, dt=dt, horizon=T, half_width=3.0,
                         n=64, n_v=8, snapshot_stride=1)
         traj = run_simulation(spec, cfg, sample_path(4, dt, T, dim=2))
-        worst, _ = entropy_residual(traj, [0.25, 0.5])
+        worst, _ = _entropy(traj, [0.25, 0.5])
         assert worst >= -2.0 * (traj.sgrid.h + cfg.dt + cfg.epsilon)
 
 
@@ -213,22 +209,22 @@ class TestKineticResidual:
 
 class TestBoundChecks:
     def test_max_principle_pass_and_fail(self):
-        traj, spec, cfg, path = _run()
+        traj, _, _, _ = _run()
         assert check_max_principle(traj.rho).passed
         bad = traj.rho.copy()
         bad[3, 10] = 2.0
-        corrupted = _synthetic(spec, cfg, path, bad, times=traj.times)
-        assert not check_max_principle(corrupted.rho).passed
+        assert not check_max_principle(bad).passed
 
     def test_l1_growth_divfree(self):
-        traj, spec, _, _ = _run()
-        res = check_l1_growth(traj, spec)
+        traj, _, _, _ = _run()
+        res = _l1_growth(traj)
         assert res.passed
 
     def test_l1_growth_nonzero_divergence(self):
         spec = burgers_tanh_1d(bump_data(0.0, 1.0, 0.9), amplitude=0.5, width=1.0)
         traj, _, _, _ = _run(spec=spec)
-        assert check_l1_growth(traj, spec).passed
+        assert _c0(traj) > 0
+        assert _l1_growth(traj).passed
 
     def test_bv_nonincrease_on_riemann(self):
         traj, _, _, _ = _run()
@@ -241,24 +237,27 @@ class TestBoundChecks:
         assert "skipped" in check_bv_nonincrease(traj.rho, traj.sgrid, traj.spec).note
 
     def test_defect_structure_and_envelope(self):
-        traj, spec, _, _ = _run()
-        res = check_defect_structure(traj, spec)
+        traj, _, _, _ = _run()
+        res = check_defect_structure(traj.rho[0], traj.slab_mass, traj.min_entry,
+                                     float(traj.times[-1]), traj.sgrid, traj.vgrid.bound,
+                                     _c0(traj))
         assert res.passed
         assert res.measured <= res.bound
 
     def test_energy_identity_divfree_burgers(self):
         traj, spec, _, _ = _run(n=384, dt_frac=192, eps_mult=1, T=0.3)
-        res = check_energy_defect_identity(traj, spec)
+        res = check_energy_defect_identity(traj.rho, traj.slab_mass, traj.sgrid, spec)
         assert res.passed
 
     def test_energy_identity_skips_divergent_field(self):
         spec = burgers_tanh_1d(bump_data(0.0, 1.0, 0.9), amplitude=0.5)
         traj, _, _, _ = _run(spec=spec)
-        assert "skipped" in check_energy_defect_identity(traj, spec).note
+        assert "skipped" in check_energy_defect_identity(traj.rho, traj.slab_mass,
+                                                         traj.sgrid, spec).note
 
     def test_report_table_and_pass(self):
-        traj, spec, _, _ = _run()
-        report = run_standard_audit(traj, spec)
+        traj, _, _, _ = _run()
+        report = run_standard_audit(traj)
         assert report.passed()
         assert "max_principle" in report.table()
 
@@ -312,38 +311,26 @@ class TestComparison:
 
 
 class TestNegativeControls:
-    """Each audit check must reject a deliberately corrupted trajectory."""
-
-    def _corrupt(self, traj, spec, cfg, path, mutate):
-        rho = traj.rho.copy()
-        mutate(rho)
-        bad = _synthetic(spec, cfg, path, rho, times=traj.times)
-        bad.defect = traj.defect
-        return bad
+    """Each audit check must reject deliberately corrupted run data."""
 
     def test_l1_growth_control(self):
-        traj, spec, cfg, path = _run()
-        def mutate(rho):
-            rho[-1] *= 3.0
-        bad = self._corrupt(traj, spec, cfg, path, mutate)
-        bad.u_l1 = bad.u_l1 * 3.0
-        assert not check_l1_growth(bad, spec).passed
+        traj, _, _, _ = _run()
+        rho = traj.rho.copy()
+        rho[-1] *= 3.0
+        u_l1 = np.sum(np.abs(rho), axis=1) * traj.sgrid.h * 3.0
+        assert not check_l1_growth(rho, u_l1, traj.times, traj.sgrid, _c0(traj)).passed
 
     def test_bv_control(self):
-        traj, spec, cfg, path = _run()
-        def mutate(rho):
-            rho[-1, ::2] += 0.3  # sawtooth injection
-            np.clip(rho[-1], -1.0, 1.0, out=rho[-1])
-        bad = self._corrupt(traj, spec, cfg, path, mutate)
-        assert not check_bv_nonincrease(bad.rho, bad.sgrid, bad.spec).passed
+        traj, spec, _, _ = _run()
+        rho = traj.rho.copy()
+        rho[-1, ::2] += 0.3  # sawtooth injection
+        np.clip(rho[-1], -1.0, 1.0, out=rho[-1])
+        assert not check_bv_nonincrease(rho, traj.sgrid, spec).passed
 
     def test_energy_identity_control(self):
-        traj, spec, cfg, path = _run(n=384, dt_frac=192, eps_mult=1, T=0.3)
-        bad = self._corrupt(traj, spec, cfg, path, lambda rho: None)
-        bad.defect = DefectAccumulator(traj.sgrid.cell_volume, traj.vgrid.dv)
-        bad.defect.slab_times = list(traj.defect.slab_times)
-        bad.defect.slab_mass = [0.0 for _ in traj.defect.slab_mass]
-        assert not check_energy_defect_identity(bad, spec).passed
+        traj, spec, _, _ = _run(n=384, dt_frac=192, eps_mult=1, T=0.3)
+        no_defect = [0.0] * len(traj.slab_mass)
+        assert not check_energy_defect_identity(traj.rho, no_defect, traj.sgrid, spec).passed
 
     def test_comparison_control(self):
         T, dt = 0.2, 0.2 / 64
@@ -359,12 +346,10 @@ class TestNegativeControls:
         # ordered at t = 0 but corrupted later: the check must fail
         bad = hi.rho.copy()
         bad[2:] = lo.rho[2:] - 0.05
-        broken = _synthetic(hi.spec, hi.config, path, bad, times=hi.times)
-        assert not check_comparison(lo, broken).passed
+        assert not check_comparison(lo, replace(hi, rho=bad)).passed
         # unordered initial data are a usage error, not a FAIL
         with pytest.raises(ConfigurationError):
-            check_comparison(hi, _synthetic(hi.spec, hi.config, path,
-                                            hi.rho - 0.2, times=hi.times))
+            check_comparison(hi, replace(hi, rho=hi.rho - 0.2))
 
 
 class TestHolderFit:

@@ -346,17 +346,14 @@ class TestUnclampedLerp:
         ref_tilde = KineticField(grid, vg, clamped)
         ref = relax_substep(ref_tilde, cfg.epsilon, cfg.dt, bounds)
         ref_rho = np.clip(kinetic_density_values(clamped, vg.dv), *bounds)
-        ref_defect = bgk.DefectAccumulator(grid.cell_volume, vg.dv)
         raw = vg.dv * np.cumsum(ref.values - clamped, axis=-1)
         prefix = accumulate_defect(ref_tilde, ref, cfg.epsilon, cfg.dt)
-        ref_defect.accumulate(prefix, float(raw.min()), 0.0, prefix.shape, (slice(0, n),))
-        ref_defect.close_slab(cfg.dt)
+        ref_mass = float(prefix.sum()) * grid.cell_volume * vg.dv
         assert traj.final_u.values.tobytes() == ref.values.tobytes()
         assert traj.rho[1].tobytes() == ref_rho.tobytes()
         assert traj.u_l1[1] == np.sum(np.abs(ref.values)) * grid.cell_volume * vg.dv
-        assert (np.asarray(traj.defect.slab_mass).tobytes()
-                == np.asarray(ref_defect.slab_mass).tobytes())
-        assert repr(traj.defect.min_entry) == repr(ref_defect.min_entry)
+        assert np.asarray(traj.slab_mass).tobytes() == np.asarray([ref_mass]).tobytes()
+        assert repr(traj.min_entry) == repr(min(0.0, float(raw.min())))
 
 
 class TestRelax:
@@ -536,7 +533,7 @@ class TestRun:
         a, _, _ = self._run(seed=11)
         b, _, _ = self._run(seed=11)
         assert np.array_equal(a.rho, b.rho)
-        assert a.defect.slab_mass == b.defect.slab_mass
+        assert a.slab_mass == b.slab_mass
 
     def test_l1_exact_conservation_zero_noise_divfree(self):
         spec = burgers_const_1d(bump_data(-0.5, 1.0, 0.9), c=1.0)
@@ -685,14 +682,14 @@ class TestSupportWindow:
     def test_window_engine_is_the_full_box_substeps(self, kind, data, full_box_run):
         spec, cfg, path = _window_case(kind, data)
         traj = run_simulation(spec, cfg, path)
-        rho, u_l1, u_snaps, u, defect, _ = full_box_run(spec, cfg, path)
+        rho, u_l1, u_snaps, u, slab_mass, min_entry, _ = full_box_run(spec, cfg, path)
         if kind == "rho_zero":
             assert not np.any(rho[1]) and np.any(u_snaps[1])
         assert traj.rho.tobytes() == rho.tobytes()
         assert traj.u_l1.tobytes() == u_l1.tobytes()
         assert traj.final_u.values.tobytes() == u.values.tobytes()
-        assert np.asarray(traj.defect.slab_mass).tobytes() == np.asarray(defect.slab_mass).tobytes()
-        assert repr(traj.defect.min_entry) == repr(defect.min_entry)
+        assert np.asarray(traj.slab_mass).tobytes() == np.asarray(slab_mass).tobytes()
+        assert repr(traj.min_entry) == repr(min_entry)
 
     def _relaxed_cells(self, monkeypatch, spec, cfg, path):
         cells = []

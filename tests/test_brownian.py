@@ -1,4 +1,4 @@
-"""Path sampling, determinism, moments, CSV round trip, Levy modulus."""
+"""Path sampling, determinism, moments, Levy modulus."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from stochbgk.brownian import levy_modulus_statistic, sample_path, sample_paths
-from stochbgk.csvio import export_path_csv, import_path_csv
 from stochbgk.errors import ConfigurationError
 
 
@@ -59,15 +58,6 @@ def test_configuration_errors():
     path = sample_path(1, 0.25, 1.0, dim=1)
     with pytest.raises(ConfigurationError):
         path.node_index(2.0)
-
-
-def test_csv_round_trip(tmp_path):
-    path = sample_path(13, 0.125, 1.0, dim=2)
-    fname = tmp_path / "path.csv"
-    export_path_csv(path, fname)
-    back = import_path_csv(fname, dt=0.125)
-    assert back.dim == 2
-    assert np.array_equal(back.increments, path.increments)
 
 
 class TestLevyModulus:

@@ -338,6 +338,8 @@ class TestAuditCommand:
         "every_row_short": lambda ls: ls[:1] + [r.rsplit(",", 1)[0] for r in ls[1:]],
         "empty_body": lambda ls: ls[:1],
         "bad_header": lambda ls: ["t,x,rho"] + ls[1:],
+        "no_index_column": lambda ls: ["t,rho"] + [
+            ",".join(r.split(",")[::2]) for r in ls[1:]],
         "dropped_row": lambda ls: ls[:400] + ls[401:],
         "duplicated_row": lambda ls: ls[:401] + ls[400:],
         "cell_twice_cell_missing": lambda ls: ls[:401] + ls[400:401] + ls[402:],
@@ -496,6 +498,16 @@ class TestGoldenRun:
         assert rc == 0
         assert (out / "trajectory.csv").read_bytes() == \
             (GOLDEN_DIR / "trajectory.csv").read_bytes()
+
+    def test_reproduces_checked_in_defect_and_audit_csv(self, tmp_path):
+        """The golden config with the entropy row on: six PASS rows."""
+        cfg = json.loads((GOLDEN_DIR / "config.json").read_text())
+        cfg["audit"] = {"entropy_tol": 0.05}
+        out = tmp_path / "golden_out"
+        assert main(["simulate", "--config", _write(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        for name in ("defect.csv", "audit.csv"):
+            assert (out / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
 
 class TestPathsCommand:
