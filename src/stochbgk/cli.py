@@ -99,11 +99,13 @@ def cmd_convergence(cfg, seed, out) -> int:
 def cmd_counterexample(cfg, seed, out) -> int:
     params = build_counterexample_params(cfg)
     t = params.t
+    ladders = bv_growth_experiment((cusp_data(), smooth_control_data()), t,
+                                   params.resolutions, workers=params.workers)
+    labels = [label for label in ("cusp", "smooth") for _ in params.resolutions]
     rows = []
-    for label, data in (("cusp", cusp_data()), ("smooth", smooth_control_data())):
-        for n, h, bv_t, bv_0 in bv_growth_experiment(data, t, params.resolutions):
-            rows.append((label, n, h, t, bv_t, bv_0))
-            print(f"{label:7s} n={n:5d} BV(t)={bv_t:.5f} BV(0)={bv_0:.5f}")
+    for label, (n, h, bv_t, bv_0) in zip(labels, ladders):
+        rows.append((label, n, h, t, bv_t, bv_0))
+        print(f"{label:7s} n={n:5d} BV(t)={bv_t:.5f} BV(0)={bv_0:.5f}")
     files = [os.path.join(out, "deterministic_bv.csv")]
     write_rows(files[0], ["experiment", "n", "h", "t", "bv", "bv_initial"], rows)
 

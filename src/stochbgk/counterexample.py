@@ -209,39 +209,66 @@ def smooth_control_data() -> CounterexampleData:
 # ---------------------------------------------------------------------------
 # experiments
 
-def deterministic_solution(t, data: CounterexampleData,
-                           grid: SpatialGrid) -> DensityField:
-    """Closed-form weak solution rho(t) = rho0 o (flow)^{-1}, sampled pointwise.
+def _inverse_flow_on_grid(t, grid: SpatialGrid, workers: int = 1):
+    """eta(t, x, y) at every cell centre of a 2D grid, indexed [x, y].
 
     Points with y < 0 are frozen (b2 vanishes there).  The inverse flow
     depends on x only through b1(x), so it is solved once per distinct b1
-    value (every x < 0 shares b1 = 0) and the rows are indexed back.
+    value (every x < 0 shares b1 = 0) and the rows are indexed back.  The
+    distinct rows are split into ``workers`` chunks solved on threads (NumPy
+    releases the GIL); ``g_inverse`` works element by element, so the split
+    does not change a bit.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if grid.dim != 2:
         raise ConfigurationError("the construction is two-dimensional")
     c = grid.axis_centers()
     _, first, row = np.unique(b1(c), return_index=True, return_inverse=True)
     pos = c >= 0
-    _, eta_rows = exact_inverse_flow(t, c[first][:, None],
-                                     np.where(pos, c, 0.0)[None, :])
-    eta = np.where(pos, eta_rows[row], c)
-    return DensityField(grid, data.evaluate(c[:, None], eta))
+    y = np.where(pos, c, 0.0)[None, :]
+    eta_rows = np.empty((first.size, c.size))
+
+    def solve(idx):
+        eta_rows[idx] = exact_inverse_flow(t, c[first[idx]][:, None], y)[1]
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(solve, np.array_split(np.arange(first.size), workers)))
+    return np.where(pos, eta_rows[row], c)
 
 
-def bv_growth_experiment(data: CounterexampleData, t, resolutions):
+def deterministic_solution(t, data: CounterexampleData,
+                           grid: SpatialGrid) -> DensityField:
+    """Closed-form weak solution rho(t) = rho0 o (flow)^{-1}, sampled pointwise."""
+    eta = _inverse_flow_on_grid(t, grid)
+    return DensityField(grid, data.evaluate(grid.axis_centers()[:, None], eta))
+
+
+def bv_growth_experiment(data, t, resolutions, workers: int = 1):
     """Discrete BV of the closed-form solution on a refinement ladder.
 
-    Returns rows (n, h, bv at time t, bv at time 0).
+    ``data`` is one ``CounterexampleData`` or a sequence of them; all of them
+    share one inverse-flow solve per resolution and box (``workers``
+    threads).  Returns rows (n, h, bv at time t, bv at time 0), data-major:
+    the whole ladder of the first data, then of the next.
     """
     if t < 0:
         raise ConfigurationError("t must be >= 0")
-    rows = []
+    datas = (data,) if isinstance(data, CounterexampleData) else tuple(data)
+    ladders = [[] for _ in datas]
     for n in resolutions:
-        grid = SpatialGrid(dim=2, half_width=data.radius, n=int(n))
-        f0 = data.sample(grid)
-        ft = deterministic_solution(t, data, grid) if t > 0 else f0
-        rows.append((int(n), grid.h, discrete_bv(ft), discrete_bv(f0)))
-    return rows
+        etas = {}
+        for d, rows in zip(datas, ladders):
+            grid = SpatialGrid(dim=2, half_width=d.radius, n=int(n))
+            f0 = d.sample(grid)
+            ft = f0
+            if t > 0:
+                if d.radius not in etas:
+                    etas[d.radius] = _inverse_flow_on_grid(t, grid, workers)
+                ft = DensityField(grid, d.evaluate(grid.axis_centers()[:, None],
+                                                   etas[d.radius]))
+            rows.append((int(n), grid.h, discrete_bv(ft), discrete_bv(f0)))
+    return [row for rows in ladders for row in rows]
 
 
 def cusp_flow_spec(data: CounterexampleData) -> ProblemSpec:

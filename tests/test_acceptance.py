@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import lambertw
 
-from stochbgk.audit import (SpatialBump, check_comparison,
-                            check_defect_structure,
+from stochbgk.audit import (check_comparison, check_defect_structure,
                             check_energy_defect_identity, check_l1_growth,
                             check_max_principle, commutator_experiment,
                             entropy_residual, fit_holder_exponent)
@@ -26,7 +25,7 @@ from stochbgk.counterexample import (b1, b1_prime, b2, b2_prime,
                                      bv_growth_experiment, cusp_data,
                                      smooth_control_data,
                                      stochastic_counterpart)
-from stochbgk.fields import DensityField, discrete_bv, lp_norm
+from stochbgk.fields import lp_norm
 from stochbgk.grids import SpatialGrid
 from stochbgk.oracles import shift_reduction_oracle
 from stochbgk.problem import (burgers_const_1d, burgers_tanh_1d, bump_data,

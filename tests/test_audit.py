@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stochbgk.audit import (AuditReport, SpatialBump, TemporalRamp,
-                            VelocityCutoff, check_bv_nonincrease,
+from stochbgk.audit import (SpatialBump, TemporalRamp, VelocityCutoff,
+                            check_bv_nonincrease,
                             check_comparison, check_defect_structure,
                             check_energy_defect_identity, check_l1_growth,
                             check_max_principle, commutator_experiment,

@@ -536,6 +536,8 @@ class TestCounterexampleCommand:
         assert rc == 0
         det = (out / "deterministic_bv.csv").read_text().splitlines()
         assert len(det) == 1 + 4  # cusp and smooth ladders
+        assert [tuple(r.split(",")[:2]) for r in det[1:]] == [
+            ("cusp", "32"), ("cusp", "64"), ("smooth", "32"), ("smooth", "64")]
         sto = (out / "stochastic_bv.csv").read_text().splitlines()
         assert len(sto) == 2
 
@@ -547,6 +549,7 @@ class TestCounterexampleCommand:
                                "paths": 3, "n_v": 8},
             "monte_carlo": {"master_seed": 3, "workers": 1},
         }
+        files = ("stochastic_bv.csv", "deterministic_bv.csv", "figure_bv.csv")
         outs = []
         for w, name in ((1, "w1"), (4, "w4")):
             cfg = json.loads(json.dumps(base))
@@ -555,7 +558,7 @@ class TestCounterexampleCommand:
             assert main(["counterexample", "--config",
                          _write(tmp_path, cfg, f"{name}.json"),
                          "--out", str(out)]) == 0
-            outs.append(_read_bytes(out / "stochastic_bv.csv"))
+            outs.append([_read_bytes(out / f) for f in files])
         assert outs[0] == outs[1]
 
 

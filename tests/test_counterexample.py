@@ -163,6 +163,21 @@ class TestBVLadders:
         with pytest.raises(ConfigurationError):
             bv_growth_experiment(cusp_data(), -1.0, [64])
 
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    @pytest.mark.parametrize("t", [0.0, 0.7])
+    def test_shared_threaded_solve_is_the_single_ladders(self, t, workers):
+        """Both data on one inverse-flow solve per n, split over threads,
+        give the two single-data ladders exactly, data-major.  At n = 5 only
+        three distinct b1 rows exist, so five workers leave chunks empty."""
+        res = [5, 33, 64]
+        c = SpatialGrid(dim=2, half_width=3.0, n=5).axis_centers()
+        assert np.unique(b1(c)).size < 5
+        both = bv_growth_experiment((cusp_data(), smooth_control_data()), t, res,
+                                    workers=workers)
+        single = (bv_growth_experiment(cusp_data(), t, res)
+                  + bv_growth_experiment(smooth_control_data(), t, res))
+        assert repr(both) == repr(single)
+
 
 class TestStochasticCounterpart:
     def test_zeroed_path_consistent_with_closed_form(self):
