@@ -100,7 +100,7 @@ def cmd_counterexample(cfg, seed, out) -> int:
     params = build_counterexample_params(cfg)
     t = params.t
     ladders = bv_growth_experiment((cusp_data(), smooth_control_data()), t,
-                                   params.resolutions, workers=params.workers)
+                                   params.resolutions)
     labels = [label for label in ("cusp", "smooth") for _ in params.resolutions]
     rows = []
     for label, (n, h, bv_t, bv_0) in zip(labels, ladders):

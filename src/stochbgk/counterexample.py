@@ -79,12 +79,84 @@ def g(y):
     return np.exp(y * y) * y * y
 
 
+# elements per bisection block: its at most seven work arrays take 0.9 MB,
+# so they stay in a 1-2 MB L2 cache
+_BISECT_BLOCK = 16384
+
+
+def _bisect(lo, hi, below, steps=60):
+    """Midpoints of the brackets [lo, hi] after ``steps`` bisection sweeps.
+
+    ``below(mid, out)`` writes 1.0 into ``out`` where the root lies above
+    ``mid`` and 0.0 elsewhere.  The brackets move in place and branch free:
+    for 0 <= lo <= mid <= hi, max(lo, mid * below) and max(mid, hi * below)
+    are where(below, mid, lo) and where(below, hi, mid) bit for bit, without
+    the per-element branch that makes np.where slow on a mixed mask.
+    """
+    mid = np.empty_like(lo)
+    sel = np.empty_like(lo)
+    for _ in range(steps):
+        np.add(lo, hi, out=mid)
+        np.multiply(0.5, mid, out=mid)
+        below(mid, sel)
+        np.multiply(hi, sel, out=hi)
+        np.maximum(mid, hi, out=hi)
+        np.multiply(mid, sel, out=sel)
+        np.maximum(lo, sel, out=lo)
+    return 0.5 * (lo + hi)
+
+
+def _g_inverse_small(ws):
+    """Roots of e^{y^2} y^2 = w for 0 < w <= e, bracketed by [0, sqrt(w)]."""
+    val = np.empty_like(ws)
+
+    def below(mid, out):
+        np.multiply(mid, mid, out=val)
+        np.exp(val, out=val)
+        np.multiply(val, mid, out=val)
+        np.multiply(val, mid, out=val)
+        np.less(val, ws, out=out)
+
+    y = _bisect(np.zeros_like(ws), np.sqrt(ws), below)
+    for _ in range(3):
+        gy = np.exp(y * y) * y * y
+        gp = 2.0 * y * np.exp(y * y) * (1.0 + y * y)
+        y = np.where(gp > 0, y - (gy - ws) / np.where(gp > 0, gp, 1.0), y)
+    return np.maximum(y, 0.0)
+
+
+def _g_inverse_large(lw):
+    """Roots of y^2 + 2 log y = log w for w > e, bracketed by [1, sqrt(log w)]."""
+    val = np.empty_like(lw)
+    log_mid = np.empty_like(lw)
+
+    def below(mid, out):
+        np.multiply(mid, mid, out=val)
+        np.log(mid, out=log_mid)
+        np.multiply(2.0, log_mid, out=log_mid)
+        np.add(val, log_mid, out=val)
+        np.less(val, lw, out=out)
+
+    y = _bisect(np.ones_like(lw), np.sqrt(lw), below)
+    for _ in range(3):
+        phi = y * y + 2.0 * np.log(y) - lw
+        y = y - phi / (2.0 * y + 2.0 / y)
+    return y
+
+
+def _blockwise(solve, values):
+    """``solve`` on consecutive ``_BISECT_BLOCK`` slices of the 1D ``values``."""
+    return np.concatenate([solve(values[s:s + _BISECT_BLOCK])
+                           for s in range(0, values.size, _BISECT_BLOCK)])
+
+
 def g_inverse(w):
     """Inverse of g on [0, inf): bracketed bisection plus Newton polish.
 
     The bracket seed uses g(y) >= y^2, so the root lies in [0, sqrt(w)];
     for w > e the solve runs on log g(y) = y^2 + 2 log y to avoid overflow.
-    Accurate to |g(y) - w| <= 1e-12 max(1, w).
+    Accurate to |g(y) - w| <= 1e-12 max(1, w).  Every step works element
+    by element, so the blocks the solve is cut into change no bit.
     """
     w = np.asarray(w, dtype=float)
     if np.any(w < 0):
@@ -95,36 +167,11 @@ def g_inverse(w):
 
     small = (w > 0) & (w <= math.e)
     if np.any(small):
-        ws = w[small]
-        lo = np.zeros_like(ws)
-        hi = np.sqrt(ws)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            below = np.exp(mid * mid) * mid * mid < ws
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        y = 0.5 * (lo + hi)
-        for _ in range(3):
-            gy = np.exp(y * y) * y * y
-            gp = 2.0 * y * np.exp(y * y) * (1.0 + y * y)
-            y = np.where(gp > 0, y - (gy - ws) / np.where(gp > 0, gp, 1.0), y)
-        out[small] = np.maximum(y, 0.0)
+        out[small] = _blockwise(_g_inverse_small, w[small])
 
     large = w > math.e
     if np.any(large):
-        lw = np.log(w[large])
-        lo = np.ones_like(lw)
-        hi = np.sqrt(lw)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            below = mid * mid + 2.0 * np.log(mid) < lw
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        y = 0.5 * (lo + hi)
-        for _ in range(3):
-            phi = y * y + 2.0 * np.log(y) - lw
-            y = y - phi / (2.0 * y + 2.0 / y)
-        out[large] = y
+        out[large] = _blockwise(_g_inverse_large, np.log(w[large]))
 
     return float(out[0]) if scalar else out
 
@@ -209,31 +256,20 @@ def smooth_control_data() -> CounterexampleData:
 # ---------------------------------------------------------------------------
 # experiments
 
-def _inverse_flow_on_grid(t, grid: SpatialGrid, workers: int = 1):
+def _inverse_flow_on_grid(t, grid: SpatialGrid):
     """eta(t, x, y) at every cell centre of a 2D grid, indexed [x, y].
 
     Points with y < 0 are frozen (b2 vanishes there).  The inverse flow
     depends on x only through b1(x), so it is solved once per distinct b1
-    value (every x < 0 shares b1 = 0) and the rows are indexed back.  The
-    distinct rows are split into ``workers`` chunks solved on threads (NumPy
-    releases the GIL); ``g_inverse`` works element by element, so the split
-    does not change a bit.
+    value (every x < 0 shares b1 = 0) and the rows are indexed back.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     if grid.dim != 2:
         raise ConfigurationError("the construction is two-dimensional")
     c = grid.axis_centers()
     _, first, row = np.unique(b1(c), return_index=True, return_inverse=True)
     pos = c >= 0
-    y = np.where(pos, c, 0.0)[None, :]
-    eta_rows = np.empty((first.size, c.size))
-
-    def solve(idx):
-        eta_rows[idx] = exact_inverse_flow(t, c[first[idx]][:, None], y)[1]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(solve, np.array_split(np.arange(first.size), workers)))
+    _, eta_rows = exact_inverse_flow(t, c[first][:, None],
+                                     np.where(pos, c, 0.0)[None, :])
     return np.where(pos, eta_rows[row], c)
 
 
@@ -244,13 +280,13 @@ def deterministic_solution(t, data: CounterexampleData,
     return DensityField(grid, data.evaluate(grid.axis_centers()[:, None], eta))
 
 
-def bv_growth_experiment(data, t, resolutions, workers: int = 1):
+def bv_growth_experiment(data, t, resolutions):
     """Discrete BV of the closed-form solution on a refinement ladder.
 
     ``data`` is one ``CounterexampleData`` or a sequence of them; all of them
-    share one inverse-flow solve per resolution and box (``workers``
-    threads).  Returns rows (n, h, bv at time t, bv at time 0), data-major:
-    the whole ladder of the first data, then of the next.
+    share one inverse-flow solve per resolution and box.  Returns rows
+    (n, h, bv at time t, bv at time 0), data-major: the whole ladder of the
+    first data, then of the next.
     """
     if t < 0:
         raise ConfigurationError("t must be >= 0")
@@ -264,7 +300,7 @@ def bv_growth_experiment(data, t, resolutions, workers: int = 1):
             ft = f0
             if t > 0:
                 if d.radius not in etas:
-                    etas[d.radius] = _inverse_flow_on_grid(t, grid, workers)
+                    etas[d.radius] = _inverse_flow_on_grid(t, grid)
                 ft = DensityField(grid, d.evaluate(grid.axis_centers()[:, None],
                                                    etas[d.radius]))
             rows.append((int(n), grid.h, discrete_bv(ft), discrete_bv(f0)))

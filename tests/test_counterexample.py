@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from stochbgk.counterexample import (CounterexampleData, b1, b2, b2_prime,
-                                     bv_growth_experiment, cusp_data,
+from stochbgk.counterexample import (_BISECT_BLOCK, CounterexampleData, b1, b2,
+                                     b2_prime, bv_growth_experiment, cusp_data,
                                      deterministic_solution, exact_flow,
                                      exact_inverse_flow, g, g_inverse,
                                      cusp_flow_spec, smooth_control_data,
@@ -34,6 +34,37 @@ class TestFieldComponents:
         assert div.max() <= 1.0 + 1e-12
 
 
+def _where_bisection_g_inverse(w):
+    """g_inverse as one np.where bisection over the whole array: the
+    reference the blocked, branch-free solve must match bit for bit."""
+    out = np.zeros_like(w)
+    small = (w > 0) & (w <= math.e)
+    ws = w[small]
+    lo, hi = np.zeros_like(ws), np.sqrt(ws)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = np.exp(mid * mid) * mid * mid < ws
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    y = 0.5 * (lo + hi)
+    for _ in range(3):
+        gy = np.exp(y * y) * y * y
+        gp = 2.0 * y * np.exp(y * y) * (1.0 + y * y)
+        y = np.where(gp > 0, y - (gy - ws) / np.where(gp > 0, gp, 1.0), y)
+    out[small] = np.maximum(y, 0.0)
+    large = w > math.e
+    lw = np.log(w[large])
+    lo, hi = np.ones_like(lw), np.sqrt(lw)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = mid * mid + 2.0 * np.log(mid) < lw
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    y = 0.5 * (lo + hi)
+    for _ in range(3):
+        y = y - (y * y + 2.0 * np.log(y) - lw) / (2.0 * y + 2.0 / y)
+    out[large] = y
+    return out
+
+
 class TestGInverse:
     def test_endpoints(self):
         assert g(0.0) == 0.0
@@ -54,6 +85,21 @@ class TestGInverse:
             g_inverse(-1.0)
         with pytest.raises(ConfigurationError):
             g(np.array([-0.5]))
+
+    def test_matches_the_where_bisection_bit_for_bit(self):
+        """The blocked, branch-free bisection gives the bytes of the plain
+        np.where bisection on an input several blocks long, and a scalar
+        solve (a block of one) gives the same element."""
+        rng = np.random.default_rng(11)
+        w = np.exp(rng.uniform(-30.0, 30.0, 40_000))
+        w[:5000] = rng.uniform(0.0, 3.0, 5000)
+        w[:6] = [0.0, math.e, np.nextafter(math.e, 0.0), 5e-324, 1e300, 1.0]
+        assert np.count_nonzero(w <= math.e) > _BISECT_BLOCK
+        assert np.count_nonzero(w > math.e) > _BISECT_BLOCK
+        y = g_inverse(w)
+        assert y.tobytes() == _where_bisection_g_inverse(w).tobytes()
+        for k in (0, 1, 2, 3, 4, 5, 17, 39_999):
+            assert repr(g_inverse(float(w[k]))) == repr(float(y[k]))
 
     def test_vectorized(self):
         w = np.array([0.0, 1.0, 100.0])
@@ -163,17 +209,12 @@ class TestBVLadders:
         with pytest.raises(ConfigurationError):
             bv_growth_experiment(cusp_data(), -1.0, [64])
 
-    @pytest.mark.parametrize("workers", [1, 2, 5])
     @pytest.mark.parametrize("t", [0.0, 0.7])
-    def test_shared_threaded_solve_is_the_single_ladders(self, t, workers):
-        """Both data on one inverse-flow solve per n, split over threads,
-        give the two single-data ladders exactly, data-major.  At n = 5 only
-        three distinct b1 rows exist, so five workers leave chunks empty."""
+    def test_shared_solve_is_the_single_ladders(self, t):
+        """Both data on one inverse-flow solve per n give the two single-data
+        ladders exactly, data-major."""
         res = [5, 33, 64]
-        c = SpatialGrid(dim=2, half_width=3.0, n=5).axis_centers()
-        assert np.unique(b1(c)).size < 5
-        both = bv_growth_experiment((cusp_data(), smooth_control_data()), t, res,
-                                    workers=workers)
+        both = bv_growth_experiment((cusp_data(), smooth_control_data()), t, res)
         single = (bv_growth_experiment(cusp_data(), t, res)
                   + bv_growth_experiment(smooth_control_data(), t, res))
         assert repr(both) == repr(single)
