@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .errors import ConfigurationError
 from .fields import DensityField, _region_slices, discrete_bv, entropy_pair, lp_norm
@@ -249,7 +248,8 @@ def kinetic_residual(traj, kinetic_snapshots: np.ndarray, defect_fields,
     (n_snap - 1, *grid shape, n_v); run_simulation keeps neither, and other
     shapes raise ConfigurationError.  With a cutoff constant on [-N, N] the
     defect term vanishes, the imbalance reduces to the transport identity,
-    and ``defect_fields`` may be None.
+    and ``defect_fields`` may be None.  A slab's prefix sum at v-cell j is
+    m at the cell's upper edge, so the defect term pairs it with psi' there.
     """
     cells = traj.sgrid.shape + (traj.vgrid.n_v,)
     snaps, slabs = (len(traj.times),) + cells, (len(traj.times) - 1,) + cells
@@ -265,7 +265,7 @@ def kinetic_residual(traj, kinetic_snapshots: np.ndarray, defect_fields,
     phi = bump(pts)
     gphi = bump.gradient(pts)
     psi_v = cutoff(vg.centers())
-    dpsi_v = cutoff.derivative(vg.centers())
+    dpsi_v = cutoff.derivative(vg.edges()[1:])
     fp = np.asarray(spec.f_prime(vg.centers()), dtype=float)
     b_grid = spec.b_on_grid(grid)
     div_b_grid = np.asarray(spec.div_b(pts), dtype=float)
@@ -452,6 +452,9 @@ def _kernel_1d(eps: float, h: float) -> np.ndarray:
 
 
 def _smooth(field: np.ndarray, k1: np.ndarray) -> np.ndarray:
+    # imported here: SciPy is the slowest import of the package and no command needs it
+    from scipy.ndimage import convolve1d
+
     out = convolve1d(field, k1, axis=0, mode="constant", cval=0.0)
     return convolve1d(out, k1, axis=1, mode="constant", cval=0.0)
 

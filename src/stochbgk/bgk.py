@@ -157,11 +157,14 @@ def _padded_gather(padded: np.ndarray, coords):
     n = padded.shape[0] - 4
     # flat index steps of padded.ravel(), which is in C order whatever the strides
     steps = [math.prod(padded.shape[axis + 1:]) for axis in range(len(coords))]
-    base, weights = 0, []
+    base, weights = None, []
     for s, step in zip(coords, steps):
         floor = np.floor(s)
         weights.append(s - floor)
-        base = base + (np.clip(floor, -2, n) + 2).astype(np.intp) * step
+        index = (np.clip(floor, -2, n) + 2).astype(np.intp)
+        if step != 1:
+            index *= step
+        base = index if base is None else base + index
     if padded.ndim > len(coords):
         base = base + np.arange(padded.shape[-1])
     flat = padded.ravel()
@@ -247,9 +250,12 @@ def _transport_values(padded: np.ndarray, dB: np.ndarray, dt: float,
     x0 = -sgrid.half_width + 0.5 * sgrid.h
     if np.all(fp == fp[0]):
         fp = fp[:1]
-    x, b = sgrid.centers()[win], b_grid[win]
-    return _monotone_padded(padded, [(x[..., a, None] - dt * fp * b[..., a, None] - dB[a] - x0)
-                                     / sgrid.h for a in range(sgrid.dim)])
+    c, b, d = sgrid.axis_centers(), b_grid[win], sgrid.dim
+    # the centres of axis a, broadcast along axis a of the window
+    x = [c[win[a]].reshape([-1 if axis == a else 1 for axis in range(d)] + [1])
+         for a in range(d)]
+    return _monotone_padded(padded, [(x[a] - dt * fp * b[..., a, None] - dB[a] - x0)
+                                     / sgrid.h for a in range(d)])
 
 
 def _full_box(sgrid: SpatialGrid) -> tuple:
@@ -403,25 +409,27 @@ def _support(u: np.ndarray, win: tuple):
     return tuple(box)
 
 
-def _window(support, dB: np.ndarray, drift: np.ndarray, sgrid: SpatialGrid) -> tuple:
-    """The cells one step can make non-zero: the support box widened on each
-    axis by ceil((|dB_a| + drift_a)/h) + 2 cells and clipped to the box.
-    The full box when that reach is not finite, so non-finite increments
-    and drifts reach the engine's non-finite check.
+def _window(support, reach, sgrid: SpatialGrid) -> tuple:
+    """The cells a state with the given support can reach: the support box
+    widened on each axis a by ceil(reach[a]) + 2 cells and clipped to the
+    box, empty when support is None.  reach[a] is in cells: for one engine
+    step (|dB_a| + dt max|f'| max|b_a|)/h.  The full box when a reach is not
+    finite, so non-finite increments and drifts reach the engine's
+    non-finite check.
 
     Each extent is rounded up to a multiple of n/128 cells, so successive
     steps allocate arrays of equal size that the allocator reuses: with
     exact extents the heap of a simulate-1d run (n = 2048) kept 6 MB free
     but resident, which raised the process's peak RSS by 5%.
     """
-    reach = (np.abs(dB) + drift) / sgrid.h
-    if not np.all(np.isfinite(reach)):
+    if not all(math.isfinite(r) for r in reach):
         return _full_box(sgrid)
     if support is None:
         return (slice(0, 0),) * sgrid.dim
     n, quantum = sgrid.n, max(1, sgrid.n // 128)
     win = []
-    for sl, r in zip(support, (math.ceil(x) + 2 for x in reach)):
+    for sl, r in zip(support, reach):
+        r = math.ceil(r) + 2
         lo, hi = max(sl.start - r, 0), min(sl.stop + r, n)
         size = min(-(-(hi - lo) // quantum) * quantum, n)
         lo = min(lo, n - size)
@@ -482,7 +490,8 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
     for k in range(n_steps):
         t_next = (k + 1) * config.dt
         src, dst = bufs[k % 2], bufs[(k + 1) % 2]
-        win = _window(support, path.increments[k], eng.drift, eng.sgrid)
+        win = _window(support, (np.abs(path.increments[k]) + eng.drift) / eng.sgrid.h,
+                      eng.sgrid)
         u_tilde = _transport_values(src, path.increments[k], config.dt, eng.sgrid,
                                     eng.fp, eng.b_grid, win)
         u_win, rho_win = _relax(u_tilde, eng.vgrid, eng.alpha, eng.rho_bounds)
@@ -527,9 +536,10 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
 # ---------------------------------------------------------------------------
 # Picard / mild-form fixed point
 
-def _single_cell_maxwellian(rho: np.ndarray, vgrid: VelocityGrid) -> np.ndarray:
-    """Cell average of chi_rho on one v-cell per row: row j of rho (n_v, ...)
-    holds the density seen by velocity cell j.
+def _single_cell_maxwellian(rho: np.ndarray, vgrid: VelocityGrid,
+                            rows: slice = slice(None)) -> np.ndarray:
+    """Cell average of chi_rho on one v-cell per row: row j of rho
+    (len(rows), ...) holds the density seen by velocity cell rows[j].
 
     v = 0 is a cell edge, so with r = rho/dv and the cell edges w_lo < w_hi
     in dv units a row with v > 0 is clip(r - w_lo, 0, 1) and a row with
@@ -537,13 +547,26 @@ def _single_cell_maxwellian(rho: np.ndarray, vgrid: VelocityGrid) -> np.ndarray:
     on rows broadcast from one density, up to the sign of zero.
     """
     half = vgrid.n_v // 2
+    start, stop, _ = rows.indices(vgrid.n_v)
     edges = vgrid.edges() / vgrid.dv
-    shift = np.concatenate([edges[1:half + 1], edges[half:-1]])  # w_hi, then w_lo
+    shift = np.concatenate([edges[1:half + 1], edges[half:-1]])[start:stop]  # w_hi, then w_lo
     r = rho / vgrid.dv
     r -= shift.reshape((-1,) + (1,) * (r.ndim - 1))
-    np.clip(r[:half], -1.0, 0.0, out=r[:half])
-    np.clip(r[half:], 0.0, 1.0, out=r[half:])
+    neg = min(max(half - start, 0), stop - start)  # the rows with v < 0
+    np.clip(r[:neg], -1.0, 0.0, out=r[:neg])
+    np.clip(r[neg:], 0.0, 1.0, out=r[neg:])
     return r
+
+
+def _live_rows(vgrid: VelocityGrid, rho_bounds) -> slice:
+    """The v-cells that meet the open interval (rho_bounds[0], rho_bounds[1]),
+    which holds 0: the only cells where the single-cell Maxwellian of a
+    density in rho_bounds can be non-zero.  A cell (e_j, e_j+1) with v > 0
+    holds clip((rho - e_j)/dv, 0, 1), a zero unless rho > e_j, and one with
+    v < 0 holds a zero unless rho < e_j+1; the edges are exact."""
+    edges = vgrid.edges()
+    return slice(int(np.searchsorted(edges[1:], rho_bounds[0], side="right")),
+                 int(np.searchsorted(edges[:-1], rho_bounds[1], side="left")))
 
 
 def contraction_bound(spec: ProblemSpec, window: float, epsilon: float,
@@ -578,6 +601,27 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
     0.  A window of 32 steps stops by tolerance after 26-27 sweeps.  The
     ratio check of criterion 9 thus measures the contraction and the
     nilpotency together.
+
+    Each pair term is evaluated only where it can be non-zero, and the
+    bytes are those of full-shape terms.  Its rows are the v-cells of
+    _live_rows(rho_bounds); the feet table and the tails have those rows
+    only.  Its columns are the support of rho_l widened, as the engine's
+    window is, by the reach |B(t_m) - B(t_l)| + (m - l) dt max|f'| max|b| of
+    the feet, so every foot outside them reads zero cells of rho_l.  Every
+    skipped term is a zero:
+    * the lerp of zero cells is +0.0 for any signs of the zeros, and its
+      single-cell Maxwellian is a zero;
+    * the lerp of densities in rho_bounds stays in rho_bounds (see
+      _monotone_1d), where the single-cell Maxwellian of a row outside the
+      live ones is a zero;
+    * u_start is a zero outside the live rows: a lift of rho0 there, or the
+      last window's sums, so its tails there are +0.0.
+    partial and acc keep the full (n_v, n) shape and start at +0.0.  A sum
+    under round-to-nearest is -0.0 only when both terms are, so they never
+    hold -0.0, and adding a zero of either sign to them changes nothing.
+    The path nodes of a window are checked before its feet are built: a
+    non-finite node raises NumericalAbortError, as run_simulation does,
+    which also keeps every reach finite.
     """
     if spec.dim != 1:
         raise ConfigurationError("picard mode is implemented for 1D runs")
@@ -598,7 +642,10 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
     centers = eng.sgrid.axis_centers()
     nodes = path.values_at_nodes()
     bx = eng.b_grid[:, 0]
-    shape = (eng.vgrid.n_v, n)
+    rows = _live_rows(eng.vgrid, eng.rho_bounds)
+    fp = eng.fp[rows, None]
+    drift = float(eng.drift[0])
+    full = _full_box(eng.sgrid)
 
     u0_vals = maxwellian_cell_average(eng.rho0.values, eng.vgrid)
     rho_hist = np.empty((n_steps + 1, n))
@@ -610,15 +657,21 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
     while win_start < n_steps:
         win_end = min(win_start + n_win, n_steps)
         m_count = win_end - win_start
+        win_nodes = nodes[win_start:win_end + 1, 0].tolist()  # B(t_m), m = 0..m_count
+        bad = [m for m, b in enumerate(win_nodes) if not math.isfinite(b)]
+        if bad:
+            k = win_start + bad[0]
+            raise NumericalAbortError(f"non-finite path at step {k} (t = {k * dt})",
+                                      step=k, time=k * dt)
         # scaled inverse-flow feet s[m][l] = (X^v_{t_m, t_l}(x_i) - x0)/h for
-        # 0 <= l < m, shape (nv, nx); one block per m
-        s = [np.empty((m,) + shape) for m in range(m_count + 1)]
+        # 0 <= l < m on the live rows, shape (rows, nx); one block per m
+        s = [np.empty((m, fp.shape[0], n)) for m in range(m_count + 1)]
         for m in range(1, m_count + 1):
             k_m = win_start + m
             y = centers[None, :] - nodes[k_m, 0]
             for k in range(k_m, win_start, -1):
                 b_at = np.interp(y + nodes[k, 0], centers, bx, left=0.0, right=0.0)
-                y = y - dt * eng.fp[:, None] * b_at
+                y = y - dt * fp * b_at
                 foot = s[m][k - 1 - win_start]
                 np.add(y, nodes[k - 1, 0], out=foot)
                 foot -= x0
@@ -626,33 +679,41 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
         # exponential slab weights and the decayed initial state per m
         weights = [[math.exp((l * dt + dt - m * dt) / eps) - math.exp((l * dt - m * dt) / eps)
                     for l in range(m)] for m in range(m_count + 1)]
-        u_start = _pad(u_hist[-1], 1)
+        u_start = _pad(u_hist[-1][:, rows], 1)
         tails = [None] + [math.exp(-m * dt / eps) * _monotone_1d(u_start, s[m][0].T).T
                           for m in range(1, m_count + 1)]
         rho_iter = np.repeat(rho_hist[win_start][None, :], m_count + 1, axis=0)
         rho_pad = np.zeros((m_count + 1, n + 4))
         # partial[m]: the pair terms of row m whose l is already final, summed
         # left to right in l as the full sum would be
-        partial = np.zeros((m_count + 1,) + shape)
+        partial = np.zeros((m_count + 1, eng.vgrid.n_v, n))
         win_ratios, win_residuals = [], []
         u_last = None  # sweep 0 computes row m_count
 
         def pair(m, l):
-            cell = _single_cell_maxwellian(_monotone_1d(rho_pad[l], s[m][l]), eng.vgrid)
+            """(columns, term) of pair (m, l) on the live rows: the columns
+            whose feet can read a non-zero cell of rho_l."""
+            reach = (abs(win_nodes[m] - win_nodes[l]) + (m - l) * drift) / h
+            (cols,) = _window(support[l], (reach,), eng.sgrid)
+            cell = _single_cell_maxwellian(_monotone_1d(rho_pad[l], s[m][l][:, cols]),
+                                           eng.vgrid, rows)
             cell *= weights[m][l]
-            return cell
+            return cols, cell
 
         for sweep in range(config.picard_max_iters):
             # rows 0..sweep of rho_iter are final: row m reads only rows l < m
             rho_pad[:, 2:-2] = rho_iter
+            support = {l: _support(rho_iter[l, :, None], full) for l in range(sweep, m_count)}
             rho_new = rho_iter.copy()
             delta = 0.0
             for m in range(sweep + 1, m_count + 1):
-                partial[m] += pair(m, sweep)
+                cols, cell = pair(m, sweep)
+                partial[m, rows, cols] += cell
                 acc = partial[m].copy()
                 for l in range(sweep + 1, m):
-                    acc += pair(m, l)
-                acc += tails[m]
+                    cols, cell = pair(m, l)
+                    acc[rows, cols] += cell
+                acc[rows] += tails[m]
                 u_m = acc.T  # (nx, nv)
                 rho_new[m] = kinetic_density_values(u_m, dv)
                 np.clip(rho_new[m], eng.rho_bounds[0], eng.rho_bounds[1], out=rho_new[m])

@@ -183,13 +183,26 @@ class TestKineticResidual:
                 SpatialBump((0.0,), 2.0), VelocityCutoff(k=traj.vgrid.bound))))
         assert vals[1] < vals[0]
 
+    def test_varying_cutoff_imbalance_shrinks(self, full_box_run):
+        """k = N/2 with psi' paired at the v-cells' upper edges: 7.26e-3,
+        1.80e-3, 8.40e-4 at n = 96, 192, 384 (at the centres it was 4.43e-3,
+        6.21e-3, 5.43e-3 and did not shrink)."""
+        vals = []
+        for n in (96, 192, 384):
+            traj, spec, cfg, path = _run(n=n, dt_frac=n // 2, eps_mult=1)
+            replay = full_box_run(spec, cfg, path)
+            vals.append(abs(kinetic_residual(
+                traj, replay.kinetic_snapshots, replay.defect_fields,
+                SpatialBump((0.0,), 2.0), VelocityCutoff(k=0.5 * traj.vgrid.bound))))
+        assert vals[2] < vals[1] < vals[0]
+        assert vals[2] < 0.25 * vals[0]
 
     def test_defect_term_of_a_varying_cutoff(self, full_box_run):
         """k = N/2: psi'(v) != 0 on N/2 < |v| < N, so the defect fields
         enter.  The m-term, read as the change of the residual when the
         fields are zeroed, equals a direct sum of m phi psi' over slabs,
-        cells and v-cells.  (Under refinement the imbalance with this cutoff
-        does not shrink: 4.4e-3, 6.2e-3, 5.4e-3 at n = 96, 192, 384.)"""
+        cells and v-cells, with psi' at each v-cell's upper edge, where the
+        prefix sum holds m."""
         traj, spec, cfg, path = _run(T=0.06, dt_frac=8, n=32)
         replay = full_box_run(spec, cfg, path)
         u, fields = replay.kinetic_snapshots, replay.defect_fields
@@ -197,7 +210,7 @@ class TestKineticResidual:
         m_term = (kinetic_residual(traj, u, fields, bump, cutoff)
                   - kinetic_residual(traj, u, np.zeros_like(fields), bump, cutoff))
         phi = bump(traj.sgrid.centers())
-        dpsi = cutoff.derivative(traj.vgrid.centers())
+        dpsi = cutoff.derivative(traj.vgrid.edges()[1:])
         direct = 0.0
         for slab in fields:
             for i in range(cfg.n):

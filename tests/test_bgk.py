@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stochbgk import bgk
-from stochbgk.bgk import (BGKConfig, _monotone, _pad, _padded_gather,
+from stochbgk.bgk import (BGKConfig, _live_rows, _monotone, _pad, _padded_gather,
                           _single_cell_maxwellian, accumulate_defect,
                           epsilon_continuation, picard_solve, relax_substep,
                           run_simulation, transport_substep)
@@ -880,8 +880,14 @@ class TestPicard:
         # windows of 5, 5, 5 and 1 steps
         (burgers_tanh_1d(bump_data(0.0, 1.5, 0.9), amplitude=1.0, width=0.5),
          0.1 * 5 / 16, 128, 16, 3.0, 9, None),
+        # the live v-cells are the v < 0 half, then none at all
+        (burgers_const_1d(bump_data(-0.5, 1.2, -0.8), c=1.0), 0.1, 128, 16, 3.0, 12, None),
+        (burgers_const_1d(lambda g: np.zeros(g.shape), c=1.0), 0.05, 64, 8, 3.0, 13, None),
+        # the support of rho0 is cut by the box edge
+        (burgers_const_1d(bump_data(-2.6, 1.0, 0.9), c=1.0), 0.05, 128, 16, 3.0, 14, None),
     ], ids=["sign-changing", "two-windows", "x-dependent-b", "feet-leave-box",
-            "max-iters-before-frozen", "one-step-window", "short-last-window"])
+            "max-iters-before-frozen", "one-step-window", "short-last-window",
+            "nonpositive", "zero", "support-crosses-box-edge"])
     def test_matches_reference_loop_bit_for_bit(self, spec, window, n, n_v,
                                                 half_width, seed, max_iters):
         T = 0.1
@@ -917,9 +923,9 @@ class TestPicard:
         # the pair terms with l < k are final from earlier sweeps
         real, calls = bgk._single_cell_maxwellian, [0]
 
-        def counted(rho, vgrid):
+        def counted(*args, **kwargs):
             calls[0] += 1
-            return real(rho, vgrid)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(bgk, "_single_cell_maxwellian", counted)
         spec = burgers_const_1d(bump_data(-0.5, 1.0, 0.8), c=1.0)
@@ -931,6 +937,48 @@ class TestPicard:
         # a sweep k >= steps evaluates nothing
         assert calls[0] == sum((steps - k) * (steps - k + 1) // 2
                                for k in range(min(sweeps, steps)))
+
+    @pytest.mark.parametrize("bounds", [(0.0, 0.8), (-0.8, 0.0), (-0.3, 1.0), (0.0, 0.0),
+                                        (-1.0, 1.0), (0.0, 0.125)])
+    def test_rows_outside_the_live_ones_are_zero(self, bounds):
+        # n_v = 16 on [-1, 1], dv = 1/8; densities across the bounds, the
+        # endpoints, +-0.0 and the cell edges inside included
+        vg = VelocityGrid.for_density_bound(1.0, 16)
+        rows = _live_rows(vg, bounds)
+        lo, hi = bounds
+        edges = vg.edges()
+        rho = np.concatenate([np.linspace(lo, hi, 97), [lo, hi, 0.0, -0.0],
+                              edges[(edges >= lo) & (edges <= hi)]])
+        cells = _single_cell_maxwellian(np.broadcast_to(rho, (vg.n_v, rho.size)), vg)
+        outside = np.delete(cells, np.arange(vg.n_v)[rows], axis=0)
+        assert np.all(outside == 0.0)
+        # +0.0 save where rho is -0.0, which yields -0.0 in the cell next to v = 0
+        positive = ~(np.signbit(rho) & (rho == 0.0))
+        assert outside[:, positive].tobytes() == np.zeros_like(outside[:, positive]).tobytes()
+        # every live cell holds a non-zero for some density of the interval
+        assert np.all(np.any(cells[rows] != 0.0, axis=1))
+        # the rows argument evaluates the same cells
+        live = _single_cell_maxwellian(np.broadcast_to(rho, (vg.n_v, rho.size))[rows], vg, rows)
+        assert live.tobytes() == cells[rows].tobytes()
+
+    def test_non_finite_increment_aborts(self):
+        # as run_simulation: the first non-finite path node names the step
+        spec = burgers_const_1d(plateau_data(1.0, -1.0, 0.0), c=1.0)
+        dt = 0.01
+        cfg = BGKConfig(epsilon=0.02, dt=dt, horizon=8 * dt, half_width=3.0, n=64, n_v=8,
+                        window=4 * dt)
+        for index, step in ((1, 2), (5, 6)):
+            for bad in (math.inf, math.nan):
+                increments = sample_path(5, dt, cfg.horizon, dim=1).increments.copy()
+                increments[index, 0] = bad
+                path = BrownianPath(dim=1, dt=dt, horizon=cfg.horizon, increments=increments,
+                                    seed=5)
+                with pytest.raises(NumericalAbortError) as err:
+                    picard_solve(spec, cfg, path)
+                assert (err.value.step, err.value.time) == (step, step * dt)
+                with np.errstate(invalid="ignore"), pytest.raises(NumericalAbortError) as err:
+                    run_simulation(spec, cfg, path)
+                assert err.value.step == step
 
     @staticmethod
     def _lifted_picard(monkeypatch, lifts, max_iters, window_steps):

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -572,3 +574,15 @@ class TestConvergenceCommand:
         assert len(rows) == 4
         summary = (out / "convergence_summary.csv").read_text().splitlines()
         assert summary[0] == "fitted_rate,finest_error"
+
+
+def test_import_loads_no_scipy():
+    # SciPy is the slowest import of the package, and no command needs it
+    code = ("import sys, stochbgk.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
