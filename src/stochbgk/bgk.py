@@ -153,6 +153,12 @@ def _padded_gather(padded: np.ndarray, coords):
     feet outside the box read the zero cells.  Returns the 2^d neighbour
     arrays, ordered by offset as in itertools.product((0, 1), repeat=d), and
     the d fractional weights s - floor(s).
+
+    In 1D the clip is left to take's clip mode, which saves a pass: the two
+    padded cells at each end are rows of zeros, so a flat index beyond
+    either end reads a zero, as the clipped base would.  A foot 2^63 or more
+    cells out makes the cast to intp overflow, which NumPy warns about; the
+    index it gives is still clipped to one end.
     """
     n = padded.shape[0] - 4
     # flat index steps of padded.ravel(), which is in C order whatever the strides
@@ -161,14 +167,17 @@ def _padded_gather(padded: np.ndarray, coords):
     for s, step in zip(coords, steps):
         floor = np.floor(s)
         weights.append(s - floor)
-        index = (np.clip(floor, -2, n) + 2).astype(np.intp)
+        if len(coords) > 1:  # an axis's overflow must not reach the next one
+            np.clip(floor, -2, n, out=floor)
+        floor += 2
+        index = floor.astype(np.intp)
         if step != 1:
             index *= step
         base = index if base is None else base + index
     if padded.ndim > len(coords):
         base = base + np.arange(padded.shape[-1])
     flat = padded.ravel()
-    corners = [flat[sum(o * step for o, step in zip(offset, steps)):].take(base)
+    corners = [flat[sum(o * step for o, step in zip(offset, steps)):].take(base, mode="clip")
                for offset in itertools.product((0, 1), repeat=len(coords))]
     return corners, weights
 
@@ -536,25 +545,41 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
 # ---------------------------------------------------------------------------
 # Picard / mild-form fixed point
 
-def _single_cell_maxwellian(rho: np.ndarray, vgrid: VelocityGrid,
-                            rows: slice = slice(None)) -> np.ndarray:
-    """Cell average of chi_rho on one v-cell per row: row j of rho
-    (len(rows), ...) holds the density seen by velocity cell rows[j].
+# pair terms per Picard block: at criterion 9's finest rung (7 live v-cells,
+# up to 1024 columns) a block array takes at most 0.34 MB.  In a process
+# that runs only that ladder, the per-pair loop peaked at 70 MB, blocks of 6
+# at 72 MB, of 16 at 75 MB and a whole row of pairs per block at 81 MB;
+# blocks of 8, 12 or 16 were no faster than 6
+_PAIR_BLOCK = 6
 
-    v = 0 is a cell edge, so with r = rho/dv and the cell edges w_lo < w_hi
-    in dv units a row with v > 0 is clip(r - w_lo, 0, 1) and a row with
-    v < 0 is clip(r - w_hi, -1, 0).  Equals maxwellian_cell_average(rho).T
-    on rows broadcast from one density, up to the sign of zero.
-    """
+
+def _cell_shifts(vgrid: VelocityGrid, rows: slice = slice(None)) -> tuple:
+    """The tables of _single_cell_maxwellian for the velocity cells rows:
+    the edge of each cell nearer v = 0, w_hi for v < 0 and w_lo for v > 0,
+    in dv units as a column, and the number of those cells with v < 0."""
     half = vgrid.n_v // 2
     start, stop, _ = rows.indices(vgrid.n_v)
     edges = vgrid.edges() / vgrid.dv
     shift = np.concatenate([edges[1:half + 1], edges[half:-1]])[start:stop]  # w_hi, then w_lo
-    r = rho / vgrid.dv
-    r -= shift.reshape((-1,) + (1,) * (r.ndim - 1))
-    neg = min(max(half - start, 0), stop - start)  # the rows with v < 0
-    np.clip(r[:neg], -1.0, 0.0, out=r[:neg])
-    np.clip(r[neg:], 0.0, 1.0, out=r[neg:])
+    return shift[:, None], min(max(half - start, 0), stop - start)
+
+
+def _single_cell_maxwellian(r: np.ndarray, shift: np.ndarray, neg: int) -> np.ndarray:
+    """Cell average of chi_rho on one v-cell per row, in place: r holds
+    densities in dv units, r = rho/dv, and its row j (axis -2) is the one
+    seen by the j-th cell of _cell_shifts' (shift, neg).
+
+    v = 0 is a cell edge, so with the cell edges w_lo < w_hi in dv units a
+    row with v > 0 is clip(r - w_lo, 0, 1) and a row with v < 0 is
+    clip(r - w_hi, -1, 0); a half without rows is not clipped.  Equals
+    maxwellian_cell_average(rho).T on rows broadcast from one density, up
+    to the sign of zero.
+    """
+    r -= shift
+    if neg:
+        np.clip(r[..., :neg, :], -1.0, 0.0, out=r[..., :neg, :])
+    if neg < r.shape[-2]:
+        np.clip(r[..., neg:, :], 0.0, 1.0, out=r[..., neg:, :])
     return r
 
 
@@ -616,9 +641,30 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
       live ones is a zero;
     * u_start is a zero outside the live rows: a lift of rho0 there, or the
       last window's sums, so its tails there are +0.0.
-    partial and acc keep the full (n_v, n) shape and start at +0.0.  A sum
-    under round-to-nearest is -0.0 only when both terms are, so they never
-    hold -0.0, and adding a zero of either sign to them changes nothing.
+    partial and acc start at +0.0.  A sum under round-to-nearest is -0.0
+    only when both terms are, so they never hold -0.0, and adding a zero of
+    either sign to them changes nothing.
+
+    A sweep evaluates the pairs of one l at a time, l = sweep .. m_count - 1,
+    in blocks of up to _PAIR_BLOCK consecutive m > l, with the bytes of one
+    pair at a time.  A block is one (m, live rows, columns) array: one
+    gather from the padded rho_l/dv, one lerp, one single-cell Maxwellian,
+    one multiply by the slab weights and one add into the rows m of the
+    sums, which thus take their terms in l order.  Its columns are the
+    _window of the support of rho_l and of the largest reach of its pairs,
+    which holds every column where one of its terms can be non-zero; any
+    other column of a term reads zero cells of rho_l, so it is a zero as
+    above.  The terms with l = sweep go into partial, the later ones into
+    acc, a copy of it; both hold the live rows only, and each row m is
+    widened to (n_v, n) with +0.0 before its density is summed.
+
+    dv is a power of two, and scaling by a power of two commutes with
+    rounding outside the subnormal range, so the lerp of rho/dv is the lerp
+    of rho divided by dv bit for bit unless a value of the lerp is
+    subnormal (non-zero and below 2^-1022 in magnitude) at one of the two
+    scales.  That needs neighbouring densities closer than about
+    2^-1022 max(1, dv)/w without being equal.
+
     The path nodes of a window are checked before its feet are built: a
     non-finite node raises NumericalAbortError, as run_simulation does,
     which also keeps every reach finite.
@@ -643,6 +689,7 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
     nodes = path.values_at_nodes()
     bx = eng.b_grid[:, 0]
     rows = _live_rows(eng.vgrid, eng.rho_bounds)
+    cells = _cell_shifts(eng.vgrid, rows)
     fp = eng.fp[rows, None]
     drift = float(eng.drift[0])
     full = _full_box(eng.sgrid)
@@ -663,58 +710,72 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
             k = win_start + bad[0]
             raise NumericalAbortError(f"non-finite path at step {k} (t = {k * dt})",
                                       step=k, time=k * dt)
-        # scaled inverse-flow feet s[m][l] = (X^v_{t_m, t_l}(x_i) - x0)/h for
-        # 0 <= l < m on the live rows, shape (rows, nx); one block per m
-        s = [np.empty((m, fp.shape[0], n)) for m in range(m_count + 1)]
+        # scaled inverse-flow feet s[l][m - l - 1] = (X^v_{t_m, t_l}(x_i) - x0)/h
+        # for 0 <= l < m on the live rows, shape (rows, nx); one array per l
+        s = [np.empty((m_count - l, fp.shape[0], n)) for l in range(m_count)]
         for m in range(1, m_count + 1):
             k_m = win_start + m
             y = centers[None, :] - nodes[k_m, 0]
             for k in range(k_m, win_start, -1):
                 b_at = np.interp(y + nodes[k, 0], centers, bx, left=0.0, right=0.0)
                 y = y - dt * fp * b_at
-                foot = s[m][k - 1 - win_start]
+                l = k - 1 - win_start
+                foot = s[l][m - l - 1]
                 np.add(y, nodes[k - 1, 0], out=foot)
                 foot -= x0
                 foot /= h
-        # exponential slab weights and the decayed initial state per m
-        weights = [[math.exp((l * dt + dt - m * dt) / eps) - math.exp((l * dt - m * dt) / eps)
-                    for l in range(m)] for m in range(m_count + 1)]
+        # exponential slab weights[l][m - l - 1] as (m_count - l, 1, 1) columns
+        weights = [np.array([math.exp((l * dt + dt - m * dt) / eps)
+                             - math.exp((l * dt - m * dt) / eps)
+                             for m in range(l + 1, m_count + 1)])[:, None, None]
+                   for l in range(m_count)]
+        # the decayed initial state per m, rows 1..m_count
         u_start = _pad(u_hist[-1][:, rows], 1)
-        tails = [None] + [math.exp(-m * dt / eps) * _monotone_1d(u_start, s[m][0].T).T
-                          for m in range(1, m_count + 1)]
+        tails = np.zeros((m_count + 1, fp.shape[0], n))
+        for m in range(1, m_count + 1):
+            tails[m] = math.exp(-m * dt / eps) * _monotone_1d(u_start, s[0][m - 1].T).T
         rho_iter = np.repeat(rho_hist[win_start][None, :], m_count + 1, axis=0)
-        rho_pad = np.zeros((m_count + 1, n + 4))
-        # partial[m]: the pair terms of row m whose l is already final, summed
-        # left to right in l as the full sum would be
-        partial = np.zeros((m_count + 1, eng.vgrid.n_v, n))
+        rho_pad = np.zeros((m_count + 1, n + 4))  # rho_iter / dv, rows padded by _pad
+        # partial[m]: the pair terms of row m whose l is already final, on the
+        # live rows, summed left to right in l as the full sum would be
+        partial = np.zeros((m_count + 1, fp.shape[0], n))
         win_ratios, win_residuals = [], []
         u_last = None  # sweep 0 computes row m_count
 
-        def pair(m, l):
-            """(columns, term) of pair (m, l) on the live rows: the columns
-            whose feet can read a non-zero cell of rho_l."""
-            reach = (abs(win_nodes[m] - win_nodes[l]) + (m - l) * drift) / h
+        def block(l, m0, m1):
+            """(columns, terms) of the pairs (m, l), m0 <= m < m1, on the live
+            rows: the columns whose feet can read a non-zero cell of rho_l,
+            and the terms there, (m1 - m0, rows, columns)."""
+            reach = max(abs(win_nodes[m] - win_nodes[l]) + (m - l) * drift
+                        for m in range(m0, m1)) / h
             (cols,) = _window(support[l], (reach,), eng.sgrid)
-            cell = _single_cell_maxwellian(_monotone_1d(rho_pad[l], s[m][l][:, cols]),
-                                           eng.vgrid, rows)
-            cell *= weights[m][l]
-            return cols, cell
+            terms = _single_cell_maxwellian(
+                _monotone_1d(rho_pad[l], s[l][m0 - l - 1:m1 - l - 1, :, cols]), *cells)
+            terms *= weights[l][m0 - l - 1:m1 - l - 1]
+            return cols, terms
 
         for sweep in range(config.picard_max_iters):
             # rows 0..sweep of rho_iter are final: row m reads only rows l < m
-            rho_pad[:, 2:-2] = rho_iter
+            np.divide(rho_iter, dv, out=rho_pad[:, 2:-2])
             support = {l: _support(rho_iter[l, :, None], full) for l in range(sweep, m_count)}
             rho_new = rho_iter.copy()
             delta = 0.0
+            # one l at a time, so every row m takes its terms in l order: the
+            # terms (m, sweep) are final and go into partial, the later ones
+            # into a copy of it
+            acc = partial
+            for l in range(sweep, m_count):
+                for m0 in range(l + 1, m_count + 1, _PAIR_BLOCK):
+                    m1 = min(m0 + _PAIR_BLOCK, m_count + 1)
+                    cols, terms = block(l, m0, m1)
+                    acc[m0:m1, :, cols] += terms
+                if l == sweep:
+                    acc = partial.copy()
+            acc[sweep + 1:] += tails[sweep + 1:]
             for m in range(sweep + 1, m_count + 1):
-                cols, cell = pair(m, sweep)
-                partial[m, rows, cols] += cell
-                acc = partial[m].copy()
-                for l in range(sweep + 1, m):
-                    cols, cell = pair(m, l)
-                    acc[rows, cols] += cell
-                acc[rows] += tails[m]
-                u_m = acc.T  # (nx, nv)
+                u = np.zeros((eng.vgrid.n_v, n))
+                u[rows] = acc[m]
+                u_m = u.T  # (nx, nv)
                 rho_new[m] = kinetic_density_values(u_m, dv)
                 np.clip(rho_new[m], eng.rho_bounds[0], eng.rho_bounds[1], out=rho_new[m])
                 if m == m_count:

@@ -1,5 +1,6 @@
 """BGK engine: substeps, defect accumulation, full runs, Picard mode."""
 
+import hashlib
 import itertools
 import math
 
@@ -9,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stochbgk import bgk
-from stochbgk.bgk import (BGKConfig, _live_rows, _monotone, _pad, _padded_gather,
-                          _single_cell_maxwellian, accumulate_defect,
+from stochbgk.bgk import (BGKConfig, _cell_shifts, _live_rows, _monotone, _pad,
+                          _padded_gather, _single_cell_maxwellian, accumulate_defect,
                           epsilon_continuation, picard_solve, relax_substep,
                           run_simulation, transport_substep)
 from stochbgk.brownian import BrownianPath, sample_path
@@ -96,7 +97,9 @@ class TestTransport:
 class TestKernels:
     """The zero-padded gather behind the 1D, 2D and Picard interpolations."""
 
-    OFFSETS = (1.25, 2.0, 7.5, 1e3)  # cells beyond the first or last center
+    # cells beyond the first or last center; 2^52 takes the 1D index far
+    # past either end of the padded array, where take's clip mode holds it
+    OFFSETS = (1.25, 2.0, 7.5, 1e3, 2.0**52)
 
     def test_1d_feet_far_outside_read_zero(self):
         n, h, x0 = 16, 0.25, -1.875
@@ -252,8 +255,8 @@ class TestKernelProperties:
             lambda k: k * vg.dv, st.integers(-n_v // 2, n_v // 2))
         rho = np.array(data.draw(st.lists(special | st.floats(-N, N), min_size=1,
                                           max_size=12)))
-        rows = np.broadcast_to(rho, (n_v, rho.size)).copy()
-        assert np.array_equal(_single_cell_maxwellian(rows, vg),
+        rows = np.broadcast_to(rho, (n_v, rho.size)) / vg.dv
+        assert np.array_equal(_single_cell_maxwellian(rows, *_cell_shifts(vg)),
                               maxwellian_cell_average(rho, vg).T)
 
 
@@ -865,33 +868,42 @@ class TestPicard:
         gap = float(np.sum(np.abs(a.rho[-1] - b.rho[-1])) * a.sgrid.h)
         assert gap <= 0.01
 
-    @pytest.mark.parametrize("spec, window, n, n_v, half_width, seed, max_iters", [
+    @pytest.mark.parametrize("spec, window, n, n_v, half_width, seed, max_iters, steps", [
         (burgers_const_1d(lambda g: 0.8 * np.sin(np.pi * g.axis_centers() / 1.5)
                           * (np.abs(g.axis_centers()) <= 1.5), c=1.0), 0.1, 128, 16, 3.0, 4,
-         None),
-        (burgers_const_1d(plateau_data(1.0, -1.0, 0.0), c=1.0), 0.05, 128, 16, 3.0, 8, None),
+         None, 16),
+        (burgers_const_1d(plateau_data(1.0, -1.0, 0.0), c=1.0), 0.05, 128, 16, 3.0, 8, None, 16),
         (burgers_tanh_1d(bump_data(0.0, 1.5, 0.9), amplitude=1.0, width=0.5),
-         0.05, 128, 16, 3.0, 5, None),
-        (linear_const_1d(bump_data(1.4, 1.0, 0.9), c=8.0), 0.1, 64, 8, 2.0, 11, None),
+         0.05, 128, 16, 3.0, 5, None, 16),
+        (linear_const_1d(bump_data(1.4, 1.0, 0.9), c=8.0), 0.1, 64, 8, 2.0, 11, None, 16),
         # stops after 5 sweeps of a 16-step window, before every row is final
-        (burgers_const_1d(bump_data(-0.5, 1.2, 0.8), c=1.0), 0.1, 128, 16, 3.0, 3, 5),
+        (burgers_const_1d(bump_data(-0.5, 1.2, 0.8), c=1.0), 0.1, 128, 16, 3.0, 3, 5, 16),
         (burgers_const_1d(bump_data(-0.5, 1.2, 0.8), c=1.0), 0.1 / 16, 128, 16, 3.0, 6,
-         None),
+         None, 16),
         # windows of 5, 5, 5 and 1 steps
         (burgers_tanh_1d(bump_data(0.0, 1.5, 0.9), amplitude=1.0, width=0.5),
-         0.1 * 5 / 16, 128, 16, 3.0, 9, None),
+         0.1 * 5 / 16, 128, 16, 3.0, 9, None, 16),
         # the live v-cells are the v < 0 half, then none at all
-        (burgers_const_1d(bump_data(-0.5, 1.2, -0.8), c=1.0), 0.1, 128, 16, 3.0, 12, None),
-        (burgers_const_1d(lambda g: np.zeros(g.shape), c=1.0), 0.05, 64, 8, 3.0, 13, None),
+        (burgers_const_1d(bump_data(-0.5, 1.2, -0.8), c=1.0), 0.1, 128, 16, 3.0, 12, None, 16),
+        (burgers_const_1d(lambda g: np.zeros(g.shape), c=1.0), 0.05, 64, 8, 3.0, 13, None, 16),
         # the support of rho0 is cut by the box edge
-        (burgers_const_1d(bump_data(-2.6, 1.0, 0.9), c=1.0), 0.05, 128, 16, 3.0, 14, None),
+        (burgers_const_1d(bump_data(-2.6, 1.0, 0.9), c=1.0), 0.05, 128, 16, 3.0, 14, None, 16),
+        # in sweep 0, the 24 pairs of l = 0 come in blocks of 6, 6, 6 and 6,
+        # the 11 of l = 13 in blocks of 6 and 5
+        (burgers_const_1d(lambda g: 0.8 * np.sin(np.pi * g.axis_centers() / 1.5)
+                          * (np.abs(g.axis_centers()) <= 1.5), c=1.0), 0.1, 128, 16, 3.0, 21,
+         None, 24),
+        # the bump leaves the box: some rho_l are zero, so their blocks have
+        # no columns, beside blocks of non-zero rho_l
+        (linear_const_1d(bump_data(1.2, 1.0, 0.9), c=40.0), 0.1, 64, 8, 2.0, 11, None, 16),
     ], ids=["sign-changing", "two-windows", "x-dependent-b", "feet-leave-box",
             "max-iters-before-frozen", "one-step-window", "short-last-window",
-            "nonpositive", "zero", "support-crosses-box-edge"])
+            "nonpositive", "zero", "support-crosses-box-edge", "four-blocks-per-column",
+            "zero-density-beside-non-zero"])
     def test_matches_reference_loop_bit_for_bit(self, spec, window, n, n_v,
-                                                half_width, seed, max_iters):
+                                                half_width, seed, max_iters, steps):
         T = 0.1
-        dt = T / 16
+        dt = T / steps
         cfg = BGKConfig(epsilon=0.05, dt=dt, horizon=T, half_width=half_width,
                         n=n, n_v=n_v, window=window, picard_tol=1e-10,
                         snapshot_stride=4, picard_max_iters=max_iters or 200)
@@ -906,7 +918,7 @@ class TestPicard:
         assert np.asarray(traj.final_u.values).tobytes() == final_u.tobytes()
         assert np.asarray(traj.picard_ratios).tobytes() == ratios.tobytes()
         # one residual history per window; the ratios are its quotients
-        assert len(traj.picard_residuals) == len(range(0, 16, round(window / dt)))
+        assert len(traj.picard_residuals) == len(range(0, steps, round(window / dt)))
         assert traj.picard_ratios == [b / a for r in traj.picard_residuals
                                       for a, b in zip(r, r[1:])]
         if max_iters is None:
@@ -915,17 +927,41 @@ class TestPicard:
             assert [len(r) for r in traj.picard_residuals] == [max_iters]
             assert traj.picard_residuals[0][-1] >= cfg.picard_tol
 
+    # sha256 of rho, final_u, u_l1 and picard_ratios, fed in that order, at
+    # criterion 9's rungs on seed 42; recorded with the per-pair loop that
+    # the blocks replaced (NumPy 2.4.6, x86-64 Linux)
+    CRITERION_9_DIGESTS = {
+        256: "303e65733978933b61af9f70e749329dd4bd95e6c82b05162bb0a7f10a9ca9a0",
+        512: "6524c4ce2fadad53c6a5394c12df71bad4107721da89d43dc2b151ff2dcf9778",
+        1024: "78f8989c548e47baf7942fc8a7b5df556a6c4758ab9aab0f833a183fd89b5396",
+    }
+
+    def test_criterion_9_ladder_bytes_are_pinned(self):
+        T = 0.2
+        spec = burgers_const_1d(bump_data(-0.5, 1.5, 0.8), c=1.0)
+        for (n, nt), sweeps in zip(((256, 8), (512, 16), (1024, 32)), (9, 17, 26)):
+            dt = T / nt
+            cfg = BGKConfig(epsilon=4 * dt, dt=dt, horizon=T, half_width=3.0, n=n, n_v=16,
+                            window=T, picard_tol=1e-12, snapshot_stride=max(1, nt // 8))
+            traj = picard_solve(spec, cfg, sample_path(42, dt, T, dim=1))
+            assert [len(r) for r in traj.picard_residuals] == [sweeps]
+            digest = hashlib.sha256()
+            for values in (traj.rho, traj.final_u.values, traj.u_l1, traj.picard_ratios):
+                digest.update(np.asarray(values).tobytes())
+            assert digest.hexdigest() == self.CRITERION_9_DIGESTS[n]
+
     @pytest.mark.parametrize("steps, tol, sweeps", [(16, 1e-10, 13), (8, 1e-14, 9)],
                              ids=["tolerance-stops", "every-row-freezes"])
     def test_sweep_k_evaluates_only_the_unfrozen_pairs(self, monkeypatch, steps, tol,
                                                        sweeps):
         # sweep k evaluates pairs (m, l) with k <= l < m only: rows 0..k and
-        # the pair terms with l < k are final from earlier sweeps
+        # the pair terms with l < k are final from earlier sweeps.  A call
+        # evaluates a block of pairs along its first axis.
         real, calls = bgk._single_cell_maxwellian, [0]
 
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return real(*args, **kwargs)
+        def counted(r, *args):
+            calls[0] += r.shape[0]
+            return real(r, *args)
 
         monkeypatch.setattr(bgk, "_single_cell_maxwellian", counted)
         spec = burgers_const_1d(bump_data(-0.5, 1.0, 0.8), c=1.0)
@@ -949,7 +985,8 @@ class TestPicard:
         edges = vg.edges()
         rho = np.concatenate([np.linspace(lo, hi, 97), [lo, hi, 0.0, -0.0],
                               edges[(edges >= lo) & (edges <= hi)]])
-        cells = _single_cell_maxwellian(np.broadcast_to(rho, (vg.n_v, rho.size)), vg)
+        r = np.broadcast_to(rho, (vg.n_v, rho.size)) / vg.dv
+        cells = _single_cell_maxwellian(r.copy(), *_cell_shifts(vg))
         outside = np.delete(cells, np.arange(vg.n_v)[rows], axis=0)
         assert np.all(outside == 0.0)
         # +0.0 save where rho is -0.0, which yields -0.0 in the cell next to v = 0
@@ -957,9 +994,11 @@ class TestPicard:
         assert outside[:, positive].tobytes() == np.zeros_like(outside[:, positive]).tobytes()
         # every live cell holds a non-zero for some density of the interval
         assert np.all(np.any(cells[rows] != 0.0, axis=1))
-        # the rows argument evaluates the same cells
-        live = _single_cell_maxwellian(np.broadcast_to(rho, (vg.n_v, rho.size))[rows], vg, rows)
+        # the tables of the live rows evaluate the same cells, in blocks too
+        live = _single_cell_maxwellian(r[rows].copy(), *_cell_shifts(vg, rows))
         assert live.tobytes() == cells[rows].tobytes()
+        block = _single_cell_maxwellian(np.stack([r[rows]] * 3), *_cell_shifts(vg, rows))
+        assert block.tobytes() == np.stack([cells[rows]] * 3).tobytes()
 
     def test_non_finite_increment_aborts(self):
         # as run_simulation: the first non-finite path node names the step

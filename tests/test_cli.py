@@ -1,17 +1,21 @@
 """CLI driver: schema validation, bundles, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stochbgk import cli
+from stochbgk import cli, csvio
 from stochbgk.cli import main
 from stochbgk.config import validate_run_config
 from stochbgk.errors import ConfigurationError, StructuralViolationError
@@ -586,3 +590,75 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.fixture(scope="module")
+def small_bundle(tmp_path_factory):
+    """A simulate bundle of SIM_CFG at n = 64 and an audit config."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = _edited(SIM_CFG, "grid.n", 64)
+    assert main(["simulate", "--config", _write(root, cfg), "--out", str(root / "run")]) == 0
+    return root / "run", _write(root, {"experiment": "audit"}, "audit.json")
+
+
+# bytes that the CSV, number and JSON parsers treat specially, and two that
+# are not UTF-8 text
+_FUZZ_BYTE = st.sampled_from(list(b'0123456789-+.,eE\n\r :"{}[]naifINF') + [0, 255])
+# up to four edits (kind, position as a share of the file's length, byte)
+_FUZZ_EDITS = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                                 st.floats(0.0, 1.0, exclude_max=True), _FUZZ_BYTE),
+                       min_size=1, max_size=4)
+
+
+def _mutated(data, edits):
+    data = bytearray(data)
+    for kind, share, byte in edits:
+        at = int(share * len(data))
+        if kind == "insert":
+            data.insert(at, byte)
+        elif at < len(data):
+            if kind == "replace":
+                data[at] = byte
+            else:
+                del data[at]
+    return bytes(data)
+
+
+def _refresh_manifest(bundle):
+    """Rehash the listed files and the config of manifest.json while it
+    still parses, so the edited bytes reach the audit, not only the hash
+    check."""
+    path = bundle / "manifest.json"
+    try:
+        manifest = json.loads(path.read_bytes())
+    except ValueError:  # not JSON, or not UTF-8
+        return
+    if not isinstance(manifest, dict):
+        return
+    if isinstance(manifest.get("files"), dict):
+        for name in manifest["files"]:
+            if (bundle / name).is_file():
+                manifest["files"][name] = csvio.file_sha256(bundle / name)
+    if isinstance(manifest.get("config"), dict):
+        manifest["config_sha256"] = csvio._config_sha256(manifest["config"])
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+
+@given(name=st.sampled_from(["trajectory.csv", "defect.csv", "manifest.json",
+                             "config_resolved.json"]), edits=_FUZZ_EDITS)
+def test_edited_bundle_audit_never_exits_4(small_bundle, name, edits):
+    # an edited bundle passes (0), fails an audit row (1) or is rejected
+    # with one line (2); exit 4 would be a bug in the reader or the audit
+    bundle, audit_cfg = small_bundle
+    with tempfile.TemporaryDirectory() as tmp:
+        work = pathlib.Path(tmp) / "run"
+        shutil.copytree(bundle, work)
+        (work / name).write_bytes(_mutated((work / name).read_bytes(), edits))
+        _refresh_manifest(work)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["audit", "--config", audit_cfg, "--bundle", str(work),
+                       "--out", str(pathlib.Path(tmp) / "re")])
+    assert rc in (0, 1, 2), err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1
+    assert "Traceback" not in out.getvalue() + err.getvalue()
