@@ -25,7 +25,9 @@ not depend on the window.  The engine keeps u in two buffers padded with
 two zero cells on each side of every spatial axis, (n + 4)^d x n_v each:
 a step gathers from one and writes its window into the other, after
 zeroing there the window that buffer was given two steps before.  No step
-pads, scatters or scans the full state; only snapshots do.
+pads, scatters or scans the full state; only snapshots do.  A window that
+the box edge clips is the only way mass can leave the box, so both solvers
+warn at the first step whose window is clipped.
 """
 
 from __future__ import annotations
@@ -341,43 +343,6 @@ def _defect_prefix(before: np.ndarray, after: np.ndarray, dv: float):
 # ---------------------------------------------------------------------------
 # engine
 
-def _build_grids(spec: ProblemSpec, config: BGKConfig):
-    sgrid = SpatialGrid(dim=spec.dim, half_width=config.half_width, n=config.n)
-    rho0 = spec.initial_field(sgrid)
-    bound = config.v_bound if config.v_bound is not None else rho0.linf()
-    vgrid = VelocityGrid.for_density_bound(bound, config.n_v)
-    if rho0.linf() > vgrid.bound:
-        raise ConfigurationError(
-            f"initial density {rho0.linf()} exceeds velocity bound {vgrid.bound}"
-        )
-    return sgrid, vgrid, rho0
-
-
-def _check_pad(rho0: DensityField, b_grid: np.ndarray, spec: ProblemSpec,
-               config: BGKConfig, path: BrownianPath, v_bound: float) -> None:
-    """Warn when the support, drifted at sup |f'| sup |b| over the grid and
-    shifted by the path's reach, can come within two cells of the box edge."""
-    vals = np.abs(rho0.values)
-    if not np.any(vals > 0):
-        return
-    grid = rho0.grid
-    c = grid.axis_centers()
-    support = np.nonzero(vals > 0)
-    reach = max(np.abs(c[axis]).max() for axis in support)
-    nodes = path.values_at_nodes()
-    k_end = path.node_index(min(config.horizon, path.horizon))
-    noise_reach = float(np.max(np.abs(nodes[: k_end + 1]))) if k_end > 0 else 0.0
-    speed = spec.f_prime_sup(v_bound) * float(np.max(np.linalg.norm(b_grid, axis=-1)))
-    drift = speed * config.horizon
-    needed = reach + drift + noise_reach + 2 * grid.h
-    if needed > grid.half_width:
-        warnings.warn(
-            f"padded box may be too small: support+drift+noise reach {needed:.3g} "
-            f"vs half width {grid.half_width:.3g}; mass can leak at the boundary",
-            stacklevel=3,
-        )
-
-
 class _Engine:
     """Cached per-run state for the splitting loop."""
 
@@ -392,7 +357,14 @@ class _Engine:
             )
         if path.horizon < config.horizon - 1e-12:
             raise ConfigurationError("path horizon shorter than run horizon")
-        self.sgrid, self.vgrid, self.rho0 = _build_grids(spec, config)
+        self.sgrid = SpatialGrid(dim=spec.dim, half_width=config.half_width, n=config.n)
+        self.rho0 = spec.initial_field(self.sgrid)
+        bound = config.v_bound if config.v_bound is not None else self.rho0.linf()
+        self.vgrid = VelocityGrid.for_density_bound(bound, config.n_v)
+        if self.rho0.linf() > self.vgrid.bound:
+            raise ConfigurationError(
+                f"initial density {self.rho0.linf()} exceeds velocity bound {self.vgrid.bound}"
+            )
         self.b_grid = spec.b_on_grid(self.sgrid)
         self.fp = np.asarray(spec.f_prime(self.vgrid.centers()), dtype=float)
         self.alpha = math.exp(-config.dt / config.epsilon)
@@ -402,7 +374,6 @@ class _Engine:
         # per axis, the most one step's drift dt f'(v) b_a(x) moves a foot
         self.drift = config.dt * float(np.max(np.abs(self.fp))) * np.max(
             np.abs(self.b_grid.reshape(-1, spec.dim)), axis=0)
-        _check_pad(self.rho0, self.b_grid, spec, config, path, self.vgrid.bound)
 
 
 def _support(u: np.ndarray, win: tuple):
@@ -419,12 +390,17 @@ def _support(u: np.ndarray, win: tuple):
 
 
 def _window(support, reach, sgrid: SpatialGrid) -> tuple:
-    """The cells a state with the given support can reach: the support box
+    """(window, edge): the cells a state with the given support can reach,
+    and whether they cross the box edge.  The window is the support box
     widened on each axis a by ceil(reach[a]) + 2 cells and clipped to the
     box, empty when support is None.  reach[a] is in cells: for one engine
-    step (|dB_a| + dt max|f'| max|b_a|)/h.  The full box when a reach is not
-    finite, so non-finite increments and drifts reach the engine's
-    non-finite check.
+    step (|dB_a| + dt max|f'| max|b_a|)/h.  The window is the full box when
+    a reach is not finite, so non-finite increments and drifts reach the
+    engine's non-finite check.
+
+    edge is True when that clip took effect on some axis, or a reach is not
+    finite: mass of the state may then leave the box in the step, which the
+    zero fill outside it loses.  It is False for an empty support.
 
     Each extent is rounded up to a multiple of n/128 cells, so successive
     steps allocate arrays of equal size that the allocator reuses: with
@@ -432,18 +408,26 @@ def _window(support, reach, sgrid: SpatialGrid) -> tuple:
     but resident, which raised the process's peak RSS by 5%.
     """
     if not all(math.isfinite(r) for r in reach):
-        return _full_box(sgrid)
+        return _full_box(sgrid), True
     if support is None:
-        return (slice(0, 0),) * sgrid.dim
+        return (slice(0, 0),) * sgrid.dim, False
     n, quantum = sgrid.n, max(1, sgrid.n // 128)
-    win = []
+    win, edge = [], False
     for sl, r in zip(support, reach):
         r = math.ceil(r) + 2
-        lo, hi = max(sl.start - r, 0), min(sl.stop + r, n)
+        lo, hi = sl.start - r, sl.stop + r
+        edge = edge or lo < 0 or hi > n
+        lo, hi = max(lo, 0), min(hi, n)
         size = min(-(-(hi - lo) // quantum) * quantum, n)
         lo = min(lo, n - size)
         win.append(slice(lo, lo + size))
-    return tuple(win)
+    return tuple(win), edge
+
+
+def _warn_edge(step: int, time: float) -> None:
+    # stacklevel 3 names the line that called the solver
+    warnings.warn(f"padded box may be too small: the support can reach the box edge in "
+                  f"step {step} (t = {time:.6g}); mass can leak at the boundary", stacklevel=3)
 
 
 def _in_padded(win: tuple) -> tuple:
@@ -466,6 +450,10 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
     window is the full box when that reach is not finite, so a non-finite
     increment or drift still aborts here.  The next support is searched
     inside the window only, since it cannot leave it.
+
+    At the first step whose window the box edge clips (_window's edge
+    flag), where mass may leave the box, the run warns once, "padded box
+    may be too small", naming the step and its end time.
 
     u lives in two zero-padded buffers of shape (n + 4)^d x n_v, laid out as
     _pad lays them out, so the gather reads one buffer as it is.  A step
@@ -495,12 +483,12 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
     slab = np.zeros(u.shape)  # the open slab's summed defect prefix
     slab_times, slab_mass, min_entry = [], [], 0.0
 
-    support = _support(u, full)
+    support, warned = _support(u, full), False
     for k in range(n_steps):
         t_next = (k + 1) * config.dt
         src, dst = bufs[k % 2], bufs[(k + 1) % 2]
-        win = _window(support, (np.abs(path.increments[k]) + eng.drift) / eng.sgrid.h,
-                      eng.sgrid)
+        win, edge = _window(support, (np.abs(path.increments[k]) + eng.drift) / eng.sgrid.h,
+                            eng.sgrid)
         u_tilde = _transport_values(src, path.increments[k], config.dt, eng.sgrid,
                                     eng.fp, eng.b_grid, win)
         u_win, rho_win = _relax(u_tilde, eng.vgrid, eng.alpha, eng.rho_bounds)
@@ -512,6 +500,9 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
                 f"non-finite density at step {k + 1} (t = {t_next})",
                 step=k + 1, time=t_next,
             )
+        if edge and not warned:
+            _warn_edge(k + 1, t_next)
+            warned = True
         dst[_in_padded(held[(k + 1) % 2])] = 0.0
         dst[_in_padded(win)] = u_win
         held[(k + 1) % 2] = win
@@ -668,6 +659,11 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
     The path nodes of a window are checked before its feet are built: a
     non-finite node raises NumericalAbortError, as run_simulation does,
     which also keeps every reach finite.
+
+    Once every window has converged, step k gets run_simulation's edge
+    warning from the _window of the support of rho_k and the reach
+    (|B(t_k+1) - B(t_k)| + drift)/h; a block's window, whose reach spans up
+    to a whole window of steps, is no such test.
     """
     if spec.dim != 1:
         raise ConfigurationError("picard mode is implemented for 1D runs")
@@ -694,10 +690,9 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
     drift = float(eng.drift[0])
     full = _full_box(eng.sgrid)
 
-    u0_vals = maxwellian_cell_average(eng.rho0.values, eng.vgrid)
+    u_final = maxwellian_cell_average(eng.rho0.values, eng.vgrid)  # u where the next window starts
     rho_hist = np.empty((n_steps + 1, n))
     rho_hist[0] = eng.rho0.values
-    u_hist = [u0_vals]
     ratios, residuals = [], []
 
     win_start = 0
@@ -730,7 +725,7 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
                              for m in range(l + 1, m_count + 1)])[:, None, None]
                    for l in range(m_count)]
         # the decayed initial state per m, rows 1..m_count
-        u_start = _pad(u_hist[-1][:, rows], 1)
+        u_start = _pad(u_final[:, rows], 1)
         tails = np.zeros((m_count + 1, fp.shape[0], n))
         for m in range(1, m_count + 1):
             tails[m] = math.exp(-m * dt / eps) * _monotone_1d(u_start, s[0][m - 1].T).T
@@ -740,7 +735,6 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
         # live rows, summed left to right in l as the full sum would be
         partial = np.zeros((m_count + 1, fp.shape[0], n))
         win_ratios, win_residuals = [], []
-        u_last = None  # sweep 0 computes row m_count
 
         def block(l, m0, m1):
             """(columns, terms) of the pairs (m, l), m0 <= m < m1, on the live
@@ -748,7 +742,7 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
             and the terms there, (m1 - m0, rows, columns)."""
             reach = max(abs(win_nodes[m] - win_nodes[l]) + (m - l) * drift
                         for m in range(m0, m1)) / h
-            (cols,) = _window(support[l], (reach,), eng.sgrid)
+            (cols,), _ = _window(support[l], (reach,), eng.sgrid)
             terms = _single_cell_maxwellian(
                 _monotone_1d(rho_pad[l], s[l][m0 - l - 1:m1 - l - 1, :, cols]), *cells)
             terms *= weights[l][m0 - l - 1:m1 - l - 1]
@@ -778,8 +772,8 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
                 u_m = u.T  # (nx, nv)
                 rho_new[m] = kinetic_density_values(u_m, dv)
                 np.clip(rho_new[m], eng.rho_bounds[0], eng.rho_bounds[1], out=rho_new[m])
-                if m == m_count:
-                    u_last = u_m
+                if m == m_count:  # sweep 0 computes it first
+                    u_final = u_m
                 delta = max(delta, float(np.sum(np.abs(rho_new[m] - rho_iter[m]))) * eng.sgrid.cell_volume)
             # frozen rows would add exact zeros to delta
             win_residuals.append(delta)
@@ -800,14 +794,19 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
         ratios += win_ratios
         residuals.append(win_residuals)
         rho_hist[win_start + 1: win_end + 1] = rho_iter[1:]
-        u_hist.append(u_last)
         win_start = win_end
+
+    for k in range(n_steps):
+        reach = (abs(nodes[k + 1, 0] - nodes[k, 0]) + drift) / h
+        if _window(_support(rho_hist[k, :, None], full), (reach,), eng.sgrid)[1]:
+            _warn_edge(k + 1, (k + 1) * dt)
+            break
 
     stride = config.snapshot_stride
     snap_idx = sorted(set(list(range(0, n_steps + 1, stride)) + [n_steps]))
     times = np.asarray([i * dt for i in snap_idx])
     snaps = rho_hist[snap_idx]
-    final_u = KineticField(eng.sgrid, eng.vgrid, u_hist[-1])
+    final_u = KineticField(eng.sgrid, eng.vgrid, u_final)
     # kinetic state exists only at window boundaries here; the density L1 is
     # the exact lower bound for ||u||_1 and coincides for one-signed data
     u_l1 = np.asarray([float(np.sum(np.abs(r))) * eng.sgrid.cell_volume for r in snaps])

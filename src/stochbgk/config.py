@@ -89,8 +89,8 @@ def load_config(fname) -> dict:
     try:
         with open(fname) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError covers malformed JSON
-        raise ConfigurationError(f"{fname}: not a readable JSON config ({exc})") from exc
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or bad UTF-8
+        raise ConfigurationError(f"{fname}: not a readable JSON file ({exc})") from exc
 
 
 def build_field(cfg: dict, dim: int):
@@ -157,8 +157,7 @@ def build_spec(cfg: dict) -> ProblemSpec:
     flux = _get(cfg, "spec.flux", str)
     if flux not in ("burgers", "linear"):
         raise ConfigurationError(f"field 'spec.flux': unknown preset '{flux}'")
-    return make_spec(_get(cfg, "name", str, "run"), dim,
-                     burgers_flux() if flux == "burgers" else linear_flux(),
+    return make_spec(dim, burgers_flux() if flux == "burgers" else linear_flux(),
                      build_field(cfg, dim), build_initial(cfg, dim))
 
 

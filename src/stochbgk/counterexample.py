@@ -321,7 +321,7 @@ def cusp_flow_spec(data: CounterexampleData) -> ProblemSpec:
     def rho0(grid: SpatialGrid):
         return data.sample(grid).values
 
-    return make_spec("cusp_flow", 2, linear_flux(), (b, div_b, 1.0), rho0)
+    return make_spec(2, linear_flux(), (b, div_b, 1.0), rho0)
 
 
 def stochastic_counterpart(data: CounterexampleData, t, resolutions,

@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 
 from .bgk import Trajectory
+from .config import load_config
 from .errors import ConfigurationError
 
 
@@ -165,17 +166,14 @@ def write_manifest(out_dir, resolved_config: dict, seed: int, files) -> None:
 
 
 def check_manifest(out_dir) -> dict:
-    """Validate a bundle: the recorded config against its hash and every
-    listed file against its hash.  Raises ConfigurationError on partial,
-    corrupt or tampered output."""
+    """Validate a bundle: the recorded config against its hash, every
+    listed file against its hash, and a listed config_resolved.json against
+    the recorded config.  Raises ConfigurationError on partial, corrupt or
+    tampered output."""
     path = os.path.join(out_dir, "manifest.json")
     if not os.path.exists(path):
         raise ConfigurationError(f"no manifest in {out_dir}: partial bundle")
-    try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+    manifest = load_config(path)
     if not (isinstance(manifest, dict) and isinstance(manifest.get("files"), dict)
             and isinstance(manifest.get("config"), dict)):
         raise ConfigurationError(f"{path}: not a bundle manifest")
@@ -183,8 +181,12 @@ def check_manifest(out_dir) -> dict:
         raise ConfigurationError(f"{path}: config does not match config_sha256")
     for name, digest in manifest["files"].items():
         full = os.path.join(out_dir, name)
-        if not os.path.exists(full):
+        if not os.path.isfile(full):
             raise ConfigurationError(f"bundle file missing: {name}")
         if file_sha256(full) != digest:
             raise ConfigurationError(f"bundle file corrupted: {name}")
+    resolved = os.path.join(out_dir, "config_resolved.json")
+    if ("config_resolved.json" in manifest["files"]
+            and _config_sha256(load_config(resolved)) != manifest["config_sha256"]):
+        raise ConfigurationError(f"{resolved}: does not match the manifest's config")
     return manifest

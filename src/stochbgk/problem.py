@@ -32,7 +32,6 @@ class ProblemSpec:
     whole of the standing hypothesis.
     """
 
-    name: str
     dim: int
     f: Callable[[Array], Array]
     f_prime: Callable[[Array], Array]
@@ -197,22 +196,22 @@ def constant_data(value=1.0):
 # ---------------------------------------------------------------------------
 # assembled spec presets
 
-def make_spec(name, dim, flux, field, rho0):
+def make_spec(dim, flux, field, rho0):
     """A spec from a flux preset (f, f') and a field preset (b, div b, sup |div b|)."""
     f, f_prime = flux
     b, div_b, div_b_sup = field
-    return ProblemSpec(name=name, dim=dim, f=f, f_prime=f_prime, b=b, div_b=div_b,
+    return ProblemSpec(dim=dim, f=f, f_prime=f_prime, b=b, div_b=div_b,
                        rho0=rho0, div_b_sup=div_b_sup)
 
 
-def burgers_const_1d(rho0, c=1.0, name="burgers-const"):
+def burgers_const_1d(rho0, c=1.0):
     """Burgers flux with constant b (the x-independent-flux regime)."""
-    return make_spec(name, 1, burgers_flux(), constant_field([c]), rho0)
+    return make_spec(1, burgers_flux(), constant_field([c]), rho0)
 
 
-def linear_const_1d(rho0, c=1.0, name="linear-const"):
-    return make_spec(name, 1, linear_flux(), constant_field([c]), rho0)
+def linear_const_1d(rho0, c=1.0):
+    return make_spec(1, linear_flux(), constant_field([c]), rho0)
 
 
-def burgers_tanh_1d(rho0, amplitude=1.0, width=1.0, name="burgers-tanh"):
-    return make_spec(name, 1, burgers_flux(), tanh_field_1d(amplitude, width), rho0)
+def burgers_tanh_1d(rho0, amplitude=1.0, width=1.0):
+    return make_spec(1, burgers_flux(), tanh_field_1d(amplitude, width), rho0)

@@ -132,7 +132,7 @@ class TestEntropyResidual:
 
     def test_2d_shear_run_nearly_nonnegative(self):
         from stochbgk.problem import make_spec, linear_flux, shear_field_2d
-        spec = make_spec("shear", 2, linear_flux(), shear_field_2d(0.5, 1.0),
+        spec = make_spec(2, linear_flux(), shear_field_2d(0.5, 1.0),
                          bump_data((0.0, 0.0), 1.2, 0.9))
         T = 0.12
         dt = T / 24

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -584,7 +585,7 @@ class TestRun:
 
     def test_2d_run_and_max_principle(self):
         from stochbgk.problem import make_spec, linear_flux, shear_field_2d
-        spec = make_spec("shear", 2, linear_flux(), shear_field_2d(0.5, 1.0),
+        spec = make_spec(2, linear_flux(), shear_field_2d(0.5, 1.0),
                          bump_data((0.0, 0.0), 1.0, 0.9))
         T = 0.1
         cfg = BGKConfig(epsilon=0.02, dt=0.01, horizon=T, half_width=3.0,
@@ -722,6 +723,37 @@ class TestSupportWindow:
         cfg = BGKConfig(epsilon=2 * dt, dt=dt, horizon=16 * dt, half_width=3.0, n=n, n_v=8)
         path = sample_path(2, dt, cfg.horizon, dim=1)
         assert self._relaxed_cells(monkeypatch, spec, cfg, path) == n * cfg.n_steps
+
+    @staticmethod
+    def _edge_warnings(solve, spec, cfg, path):
+        # "always" overrides the conftest filter inside this block
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve(spec, cfg, path)
+        return [str(w.message) for w in caught if "padded box may be too small" in str(w.message)]
+
+    @pytest.mark.parametrize("solve", [run_simulation, picard_solve])
+    @pytest.mark.parametrize("seed, steps", [(8, [8]), (1, [])], ids=["seed8", "seed1"])
+    def test_box_edge_warning_names_the_first_step_that_reaches_it(self, solve, seed,
+                                                                   steps):
+        # criterion 9's n = 256 rung: on seed 8 only the last step's window
+        # reaches the edge; on seed 1 none does
+        T, dt = 0.2, 0.2 / 8
+        spec = burgers_const_1d(bump_data(-0.5, 1.5, 0.8), c=1.0)
+        cfg = BGKConfig(epsilon=4 * dt, dt=dt, horizon=T, half_width=3.0, n=256, n_v=16,
+                        window=T, picard_tol=1e-12)
+        messages = self._edge_warnings(solve, spec, cfg, sample_path(seed, dt, T, dim=1))
+        assert [int(m.split("in step ")[1].split()[0]) for m in messages] == steps
+
+    def test_cusp_path_warns_once(self):
+        # the cusp data's support ends at the box edge
+        n = 64
+        steps = round(n / 6.0)
+        cfg = BGKConfig(epsilon=2.0 / steps, dt=1.0 / steps, horizon=1.0, half_width=3.0,
+                        n=n, n_v=8, snapshot_stride=steps)
+        path = sample_path(7, cfg.dt, 1.0, dim=2)
+        assert len(self._edge_warnings(run_simulation, cusp_flow_spec(cusp_data()), cfg,
+                                       path)) == 1
 
 
 class TestEpsilonContinuation:

@@ -22,7 +22,6 @@ from stochbgk.errors import ConfigurationError, StructuralViolationError
 
 SIM_CFG = {
     "experiment": "simulate",
-    "name": "burgers-demo",
     "spec": {
         "flux": "burgers",
         "field": {"preset": "constant", "c": [1.0]},
@@ -111,6 +110,10 @@ class TestValidation:
         cfg = dict(SIM_CFG, experiment="explode")
         with pytest.raises(ConfigurationError, match="experiment"):
             validate_run_config(cfg)
+
+    def test_unread_name_key_is_accepted(self):
+        # the spec has no name; a leftover key is ignored like any unread one
+        assert validate_run_config(dict(SIM_CFG, name=1.5))
 
     def test_unknown_preset(self):
         cfg = json.loads(json.dumps(SIM_CFG))
@@ -443,16 +446,32 @@ class TestAuditCommand:
         assert err.startswith("configuration error:")
         assert str(out / "trajectory.csv") in err
 
-    @pytest.mark.parametrize("edit", ["field_c", "horizon", "hash_dropped"])
-    def test_tampered_config_exits_2_naming_the_manifest(self, tmp_path, capsys, edit):
+    @pytest.mark.parametrize("edit, named", [
+        pytest.param(edit, named, id=edit) for edit, named in
+        [("field_c", "manifest.json"), ("horizon", "manifest.json"),
+         ("hash_dropped", "manifest.json"), ("resolved_rehashed", "config_resolved.json"),
+         ("resolved_not_utf8", "config_resolved.json")]])
+    def test_tampered_config_exits_2_naming_the_manifest(self, tmp_path, capsys, edit,
+                                                         named):
         out = self._bundle(tmp_path)
         manifest = json.loads((out / "manifest.json").read_text())
+        resolved = out / "config_resolved.json"
         if edit == "field_c":
             manifest["config"]["spec"]["field"]["c"] = [5.0]
         elif edit == "horizon":
             manifest["config"]["bgk"]["horizon"] = 99
-        else:
+        elif edit == "hash_dropped":
             del manifest["config_sha256"]
+        else:
+            # edit config_resolved.json and record its new hash, so only the
+            # comparison with the manifest's config can catch it
+            if edit == "resolved_rehashed":
+                cfg = json.loads(resolved.read_text())
+                cfg["bgk"]["horizon"] = 99
+                resolved.write_text(json.dumps(cfg, indent=2, sort_keys=True))
+            else:
+                resolved.write_bytes(b"\xff" + resolved.read_bytes())
+            manifest["files"]["config_resolved.json"] = csvio.file_sha256(resolved)
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
         capsys.readouterr()
         rc = main(["audit", "--config", self._audit_cfg(tmp_path),
@@ -460,7 +479,17 @@ class TestAuditCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("configuration error:")
-        assert "manifest.json" in err
+        assert named in err
+
+    def test_listed_file_replaced_by_a_directory_exits_2(self, tmp_path, capsys):
+        out = self._bundle(tmp_path)
+        (out / "defect.csv").unlink()
+        (out / "defect.csv").mkdir()
+        capsys.readouterr()
+        rc = main(["audit", "--config", self._audit_cfg(tmp_path),
+                   "--bundle", str(out), "--out", str(tmp_path / "re")])
+        assert rc == 2
+        assert "defect.csv" in capsys.readouterr().err
 
     def test_tampered_bundle_rejected(self, tmp_path):
         out = self._bundle(tmp_path)

@@ -11,7 +11,7 @@ from stochbgk.problem import (ProblemSpec, burgers_flux, constant_field,
 
 
 def _spec_1d(field, flux=None):
-    return make_spec("flow-test", 1, flux or linear_flux(), field,
+    return make_spec(1, flux or linear_flux(), field,
                      lambda g: np.zeros(g.shape))
 
 

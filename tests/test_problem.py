@@ -16,7 +16,7 @@ def test_div_b_sup_must_be_finite_and_nonnegative(div_b_sup):
     b, div_b, _ = constant_field([1.0])
     f, fp = burgers_flux()
     with pytest.raises(ConfigurationError, match="div_b_sup"):
-        ProblemSpec(name="bad", dim=1, f=f, f_prime=fp, b=b, div_b=div_b,
+        ProblemSpec(dim=1, f=f, f_prime=fp, b=b, div_b=div_b,
                     rho0=lambda g: np.zeros(g.shape), div_b_sup=div_b_sup)
 
 
