@@ -21,11 +21,11 @@ support moves by at most ceil((|dB_a| + dt max|f'| max|b_a|)/h) cells along
 axis a.  run_simulation therefore steps only a window, the bounding box of
 the cells where u is non-zero widened by that reach plus two cells; every
 cell outside it is +0.0 after a full-box step too, so the output bytes do
-not depend on the window.  The engine keeps u in two buffers padded with
-two zero cells on each side of every spatial axis, (n + 4)^d x n_v each:
-a step gathers from one and writes its window into the other, after
-zeroing there the window that buffer was given two steps before.  No step
-pads, scatters or scans the full state; only snapshots do.  A window that
+not depend on the window.  The engine keeps u in one buffer padded with
+two zero cells on each side of every spatial axis, (n + 4)^d x n_v: a step
+gathers from it into fresh arrays, then zeros the window the buffer held
+and writes the new one.  No step pads, scatters or scans the full state;
+only snapshots do.  A window that
 the box edge clips is the only way mass can leave the box, so both solvers
 warn at the first step whose window is clipped.
 """
@@ -455,13 +455,13 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
     flag), where mass may leave the box, the run warns once, "padded box
     may be too small", naming the step and its end time.
 
-    u lives in two zero-padded buffers of shape (n + 4)^d x n_v, laid out as
-    _pad lays them out, so the gather reads one buffer as it is.  A step
-    gathers from the current buffer, zeros in the other one only the window
-    it was given two steps before (the initial buffer counts as holding the
-    whole box), and writes the new window there.  Every cell outside the
-    window is +0.0, so the non-finite check reads the window's density, and
-    the full density is built only at snapshots.  u_l1 sums np.abs of the
+    u lives in one zero-padded buffer of shape (n + 4)^d x n_v, laid out as
+    _pad lays it out, so the gather reads it as it is.  The gather, the
+    relaxation and the defect prefix return fresh arrays, so a step then
+    zeros only the window the buffer held (at first the whole box) and
+    writes the new window into it.  Every cell outside the window is +0.0,
+    so the non-finite check reads the window's density, and the full
+    density is built only at snapshots.  u_l1 sums np.abs of the
     interior, a fresh C-ordered array of the full shape, so np.sum's
     pairwise order, which depends on the shape, is that of a full-box step;
     for the same reason a slab's defect prefixes are added into the windows
@@ -470,11 +470,9 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
     eng = _Engine(spec, config, path)
     n_steps = config.n_steps
     stride = config.snapshot_stride
-    u = maxwellian_cell_average(eng.rho0.values, eng.vgrid)
     full = _full_box(eng.sgrid)
-    interior = _in_padded(full)
-    bufs = [_pad(u, eng.sgrid.dim), np.zeros((eng.sgrid.n + 4,) * eng.sgrid.dim + u.shape[-1:])]
-    held = [full, (slice(0, 0),) * eng.sgrid.dim]  # the window each buffer was given
+    buf = _pad(maxwellian_cell_average(eng.rho0.values, eng.vgrid), eng.sgrid.dim)
+    u, held = buf[_in_padded(full)], full  # u views the buffer; held: the window it holds
 
     snap_times = [0.0]
     snaps = [eng.rho0.values.copy()]
@@ -486,10 +484,9 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
     support, warned = _support(u, full), False
     for k in range(n_steps):
         t_next = (k + 1) * config.dt
-        src, dst = bufs[k % 2], bufs[(k + 1) % 2]
         win, edge = _window(support, (np.abs(path.increments[k]) + eng.drift) / eng.sgrid.h,
                             eng.sgrid)
-        u_tilde = _transport_values(src, path.increments[k], config.dt, eng.sgrid,
+        u_tilde = _transport_values(buf, path.increments[k], config.dt, eng.sgrid,
                                     eng.fp, eng.b_grid, win)
         u_win, rho_win = _relax(u_tilde, eng.vgrid, eng.alpha, eng.rho_bounds)
         prefix, low = _defect_prefix(u_tilde, u_win, dv)
@@ -503,10 +500,9 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
         if edge and not warned:
             _warn_edge(k + 1, t_next)
             warned = True
-        dst[_in_padded(held[(k + 1) % 2])] = 0.0
-        dst[_in_padded(win)] = u_win
-        held[(k + 1) % 2] = win
-        u = dst[interior]
+        buf[_in_padded(held)] = 0.0
+        buf[_in_padded(win)] = u_win
+        held = win
         support = _support(u, win)  # the window holds the whole support
         if (k + 1) % stride == 0 or k + 1 == n_steps:
             slab_times.append((snap_times[-1], t_next))

@@ -24,7 +24,6 @@ For the cusp data the flow raises the total variation from 16/3 to about
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,101 +78,22 @@ def g(y):
     return np.exp(y * y) * y * y
 
 
-# elements per bisection block: its at most seven work arrays take 0.9 MB,
-# so they stay in a 1-2 MB L2 cache
-_BISECT_BLOCK = 16384
-
-
-def _bisect(lo, hi, below, steps=60):
-    """Midpoints of the brackets [lo, hi] after ``steps`` bisection sweeps.
-
-    ``below(mid, out)`` writes 1.0 into ``out`` where the root lies above
-    ``mid`` and 0.0 elsewhere.  The brackets move in place and branch free:
-    for 0 <= lo <= mid <= hi, max(lo, mid * below) and max(mid, hi * below)
-    are where(below, mid, lo) and where(below, hi, mid) bit for bit, without
-    the per-element branch that makes np.where slow on a mixed mask.
-    """
-    mid = np.empty_like(lo)
-    sel = np.empty_like(lo)
-    for _ in range(steps):
-        np.add(lo, hi, out=mid)
-        np.multiply(0.5, mid, out=mid)
-        below(mid, sel)
-        np.multiply(hi, sel, out=hi)
-        np.maximum(mid, hi, out=hi)
-        np.multiply(mid, sel, out=sel)
-        np.maximum(lo, sel, out=lo)
-    return 0.5 * (lo + hi)
-
-
-def _g_inverse_small(ws):
-    """Roots of e^{y^2} y^2 = w for 0 < w <= e, bracketed by [0, sqrt(w)]."""
-    val = np.empty_like(ws)
-
-    def below(mid, out):
-        np.multiply(mid, mid, out=val)
-        np.exp(val, out=val)
-        np.multiply(val, mid, out=val)
-        np.multiply(val, mid, out=val)
-        np.less(val, ws, out=out)
-
-    y = _bisect(np.zeros_like(ws), np.sqrt(ws), below)
-    for _ in range(3):
-        gy = np.exp(y * y) * y * y
-        gp = 2.0 * y * np.exp(y * y) * (1.0 + y * y)
-        y = np.where(gp > 0, y - (gy - ws) / np.where(gp > 0, gp, 1.0), y)
-    return np.maximum(y, 0.0)
-
-
-def _g_inverse_large(lw):
-    """Roots of y^2 + 2 log y = log w for w > e, bracketed by [1, sqrt(log w)]."""
-    val = np.empty_like(lw)
-    log_mid = np.empty_like(lw)
-
-    def below(mid, out):
-        np.multiply(mid, mid, out=val)
-        np.log(mid, out=log_mid)
-        np.multiply(2.0, log_mid, out=log_mid)
-        np.add(val, log_mid, out=val)
-        np.less(val, lw, out=out)
-
-    y = _bisect(np.ones_like(lw), np.sqrt(lw), below)
-    for _ in range(3):
-        phi = y * y + 2.0 * np.log(y) - lw
-        y = y - phi / (2.0 * y + 2.0 / y)
-    return y
-
-
-def _blockwise(solve, values):
-    """``solve`` on consecutive ``_BISECT_BLOCK`` slices of the 1D ``values``."""
-    return np.concatenate([solve(values[s:s + _BISECT_BLOCK])
-                           for s in range(0, values.size, _BISECT_BLOCK)])
-
-
 def g_inverse(w):
-    """Inverse of g on [0, inf): bracketed bisection plus Newton polish.
+    """Inverse of g on [0, inf): g^{-1}(w) = sqrt(W0(w)).
 
-    The bracket seed uses g(y) >= y^2, so the root lies in [0, sqrt(w)];
-    for w > e the solve runs on log g(y) = y^2 + 2 log y to avoid overflow.
-    Accurate to |g(y) - w| <= 1e-12 max(1, w).  Every step works element
-    by element, so the blocks the solve is cut into change no bit.
+    g(y) = w means y^2 e^{y^2} = w, so y^2 is the principal branch W0 of
+    the Lambert W function at w (real and >= 0 for w >= 0).  Accurate to
+    |g(y) - w| <= 1e-12 max(1, w); NaN maps to NaN.
     """
+    # imported here: SciPy is the slowest import of the package, and
+    # importing the CLI should not pay for it
+    from scipy.special import lambertw
+
     w = np.asarray(w, dtype=float)
     if np.any(w < 0):
         raise ConfigurationError("g_inverse is defined for w >= 0")
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    out = np.zeros_like(w)
-
-    small = (w > 0) & (w <= math.e)
-    if np.any(small):
-        out[small] = _blockwise(_g_inverse_small, w[small])
-
-    large = w > math.e
-    if np.any(large):
-        out[large] = _blockwise(_g_inverse_large, np.log(w[large]))
-
-    return float(out[0]) if scalar else out
+    y = np.sqrt(lambertw(w).real)
+    return float(y) if w.ndim == 0 else y
 
 
 def exact_flow(t, x, y):

@@ -96,20 +96,18 @@ def _resample_shifted(values: np.ndarray, grid: SpatialGrid, shift: float) -> np
 
 
 def shift_reduction_oracle(flux, rho0: DensityField, path: BrownianPath,
-                           horizon: float, flux_sup_speed: float,
-                           x_independent: bool = True):
+                           horizon: float, flux_sup_speed: float):
     """Entropy solution of the noisy x-independent problem by exact reduction.
 
     For flux independent of x the substitution rho(t, x) = w(t, x - B(t))
     removes the noise: w is the deterministic entropy solution.  Solves w by
-    Godunov, then resamples at the shifted coordinates.  Refuses fluxes that
-    depend on x, where the reduction is not exact.
+    Godunov, then resamples at the shifted coordinates.  ``flux`` is a
+    function of rho alone; config.build_convergence_params refuses a
+    non-constant b, where the reduction is not exact.
 
     Returns (times, snapshots) at the path's node times every ``stride`` so
     the shift uses exact path nodes.
     """
-    if not x_independent:
-        raise ConfigurationError("shift reduction requires an x-independent flux")
     if path.dim != 1:
         raise ConfigurationError("shift reduction oracle is 1D only")
     grid = rho0.grid

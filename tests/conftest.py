@@ -1,4 +1,3 @@
-import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -17,15 +16,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
-
-
-@pytest.fixture(autouse=True)
-def _quiet_pad_warnings():
-    # small desk grids trip the pad-width advisory; tests size boxes on purpose
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=".*padded box.*")
-        warnings.filterwarnings("ignore", message=".*epsilon.*")
-        yield
 
 
 Replay = namedtuple("Replay", "rho u_l1 kinetic_snapshots final_u slab_mass min_entry "

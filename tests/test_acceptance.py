@@ -203,7 +203,9 @@ def _cusp_tv_reference(t):
     x^(-1/2) endpoint singularity of p1' and b1', and in y over the support
     [0, Y(t, x, 2)] of p2(eta).  The profiles and the field are written out
     from their definitions and g^{-1}(w) = sqrt(W0(w)) uses the Lambert W
-    function, so nothing here shares code with the solution under test.
+    function.  The package solves g^{-1} by the same formula, which
+    tests/test_counterexample.py checks against an independent bisection;
+    nothing else here shares code with the solution under test.
     """
     def g_inv(w):
         return np.sqrt(lambertw(w).real)

@@ -128,6 +128,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="levels"):
             validate_run_config(cfg)
 
+    def test_convergence_refuses_x_dependent_field(self):
+        # the shift-reduction oracle is exact only for constant b
+        cfg = _edited(CONV_CFG, "spec.field", {"preset": "tanh", "amplitude": 0.5})
+        with pytest.raises(ConfigurationError, match="spec.field.*constant b"):
+            validate_run_config(cfg)
+
     def test_exit_code_2_on_bad_config(self, tmp_path):
         cfg = json.loads(json.dumps(SIM_CFG))
         del cfg["grid"]["n"]
@@ -610,7 +616,8 @@ class TestConvergenceCommand:
 
 
 def test_import_loads_no_scipy():
-    # SciPy is the slowest import of the package, and no command needs it
+    # SciPy is the slowest import of the package; only the counterexample
+    # command needs it, and it imports it when it solves
     code = ("import sys, stochbgk.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])

@@ -152,13 +152,6 @@ class TestShiftReduction:
         assert np.allclose(np.roll(a[-1], shift_cells)[interior], b[-1][interior],
                            atol=1e-10)
 
-    def test_refuses_x_dependent(self):
-        rho0 = _field(plateau_data(1.0, -1.0, 0.0))
-        path = sample_path(5, 0.005, 0.1, dim=1)
-        with pytest.raises(ConfigurationError):
-            shift_reduction_oracle(lambda r: r, rho0, path, 0.1,
-                                   flux_sup_speed=1.0, x_independent=False)
-
 
 class TestLinearCharacteristics:
     def test_pure_noise_shift(self):
