@@ -21,11 +21,14 @@ support moves by at most ceil((|dB_a| + dt max|f'| max|b_a|)/h) cells along
 axis a.  run_simulation therefore steps only a window, the bounding box of
 the cells where u is non-zero widened by that reach plus two cells; every
 cell outside it is +0.0 after a full-box step too, so the output bytes do
-not depend on the window.  The engine keeps u in one buffer padded with
-two zero cells on each side of every spatial axis, (n + 4)^d x n_v: a step
-gathers from it into fresh arrays, then zeros the window the buffer held
-and writes the new one.  No step pads, scatters or scans the full state;
-only snapshots do.  A window that
+not depend on the window.  Likewise only the live v-cells are stepped
+(_live_rows): the cells where the Maxwellian of a density in the sign
+range of rho0 can be non-zero; u is +0.0 on the others after any step.
+The engine keeps u in one buffer padded with two zero cells on each side
+of every spatial axis, (n + 4)^d x (live v-cells): a step gathers from it
+into fresh arrays, then zeros the window the buffer held and writes the
+new one.  No step pads, scatters or scans the full state; only snapshots
+do.  A window that
 the box edge clips is the only way mass can leave the box, so both solvers
 warn at the first step whose window is clipped.
 """
@@ -246,27 +249,36 @@ def _monotone(values: np.ndarray, coords) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # substeps (functional API)
 
-def _transport_values(padded: np.ndarray, dB: np.ndarray, dt: float,
-                      sgrid: SpatialGrid, fp: np.ndarray,
-                      b_grid: np.ndarray, win: tuple) -> np.ndarray:
-    """Semi-Lagrangian update of raw kinetic values (v-axis last, padded by
-    _pad) on the cells win, one slice per spatial axis.
+def _drift_feet(sgrid: SpatialGrid, dt: float, fp: np.ndarray, b_grid: np.ndarray) -> list:
+    """The part of the feet that no step changes: per spatial axis a,
+    x_a - dt f'(v) b_a(x) on the full grid with the v-axis last, for the
+    velocities whose f' is fp.
 
-    The feet are built for the window only and gather from the whole padded
-    array, so they may leave the window or the box.  When f' is constant
-    over the velocity grid (a linear flux) every v-cell has the same foot,
-    so the feet and weights are built with a v-axis of length 1 and the
-    gather broadcasts them over the values' v-axis.
+    When f' is constant over fp (a linear flux) every v-cell has the same
+    foot, so the v-axis has length 1 and the gather broadcasts it over the
+    values' v-axis.
+    """
+    if np.all(fp == fp[:1]):
+        fp = fp[:1]
+    c, d = sgrid.axis_centers(), sgrid.dim
+    # the centres of axis a, broadcast along axis a of the grid
+    return [c.reshape([-1 if axis == a else 1 for axis in range(d)] + [1])
+            - dt * fp * b_grid[..., a, None] for a in range(d)]
+
+
+def _transport_values(padded: np.ndarray, feet: list, dB: np.ndarray,
+                      sgrid: SpatialGrid, win: tuple) -> np.ndarray:
+    """Semi-Lagrangian update of raw kinetic values (v-axis last, padded by
+    _pad) on the cells win, one slice per spatial axis, with the _drift_feet
+    of those values' v-cells.
+
+    The scaled feet (x - dt f' b - dB - x0)/h are completed for the window
+    only and gather from the whole padded array, so they may leave the
+    window or the box.
     """
     x0 = -sgrid.half_width + 0.5 * sgrid.h
-    if np.all(fp == fp[0]):
-        fp = fp[:1]
-    c, b, d = sgrid.axis_centers(), b_grid[win], sgrid.dim
-    # the centres of axis a, broadcast along axis a of the window
-    x = [c[win[a]].reshape([-1 if axis == a else 1 for axis in range(d)] + [1])
-         for a in range(d)]
-    return _monotone_padded(padded, [(x[a] - dt * fp * b[..., a, None] - dB[a] - x0)
-                                     / sgrid.h for a in range(d)])
+    return _monotone_padded(padded, [(feet[a][win] - dB[a] - x0) / sgrid.h
+                                     for a in range(sgrid.dim)])
 
 
 def _full_box(sgrid: SpatialGrid) -> tuple:
@@ -283,8 +295,8 @@ def transport_substep(u: KineticField, t: float, dt: float,
     # the sum of the slab's increments: on one path step, the engine's dB bit for bit
     dB = path.increments[path.node_index(t):path.node_index(t + dt)].sum(axis=0)
     fp = np.asarray(spec.f_prime(u.vgrid.centers()), dtype=float)
-    b_grid = spec.b_on_grid(u.sgrid)
-    new = _transport_values(_pad(u.values, u.sgrid.dim), dB, dt, u.sgrid, fp, b_grid,
+    feet = _drift_feet(u.sgrid, dt, fp, spec.b_on_grid(u.sgrid))
+    new = _transport_values(_pad(u.values, u.sgrid.dim), feet, dB, u.sgrid,
                             _full_box(u.sgrid))
     return KineticField(u.sgrid, u.vgrid, new)
 
@@ -301,17 +313,12 @@ def relax_substep(u_tilde: KineticField, epsilon: float, dt: float,
     """
     if rho_bounds is None:
         rho_bounds = (-u_tilde.vgrid.bound, u_tilde.vgrid.bound)
-    new, _ = _relax(u_tilde.values, u_tilde.vgrid, math.exp(-dt / epsilon), rho_bounds)
-    return KineticField(u_tilde.sgrid, u_tilde.vgrid, new)
-
-
-def _relax(values: np.ndarray, vgrid: VelocityGrid, alpha: float, rho_bounds):
-    """The relaxation kernel: (M + alpha (u~ - M), frozen density clipped
-    to rho_bounds) with M the lift of that density."""
-    rho = kinetic_density_values(values, vgrid.dv)
+    values = u_tilde.values
+    rho = kinetic_density_values(values, u_tilde.vgrid.dv)
     np.clip(rho, rho_bounds[0], rho_bounds[1], out=rho)
-    m = maxwellian_cell_average(rho, vgrid)
-    return m + alpha * (values - m), rho
+    m = maxwellian_cell_average(rho, u_tilde.vgrid)
+    new = m + math.exp(-dt / epsilon) * (values - m)
+    return KineticField(u_tilde.sgrid, u_tilde.vgrid, new)
 
 
 def accumulate_defect(u_before_relax: KineticField, u_after_relax: KineticField,
@@ -338,6 +345,64 @@ def _defect_prefix(before: np.ndarray, after: np.ndarray, dv: float):
         raise StructuralViolationError(f"defect prefix reached {low}; m must be >= 0")
     np.maximum(prefix, 0.0, out=prefix)
     return prefix, low
+
+
+# ---------------------------------------------------------------------------
+# live v-cells and their Maxwellian, shared by both solvers
+
+def _live_rows(vgrid: VelocityGrid, rho_bounds) -> slice:
+    """The v-cells that meet the open interval (rho_bounds[0], rho_bounds[1]),
+    which holds 0: the only cells where the single-cell Maxwellian of a
+    density in rho_bounds can be non-zero.  A cell (e_j, e_j+1) with v > 0
+    holds clip((rho - e_j)/dv, 0, 1), a zero unless rho > e_j, and one with
+    v < 0 holds a zero unless rho < e_j+1; the edges are exact.
+
+    Both solvers clip the frozen density to the sign range of rho0, so they
+    build and step these cells only: run_simulation's state and picard_solve's
+    pair terms, both empty for data that is zero everywhere."""
+    edges = vgrid.edges()
+    return slice(int(np.searchsorted(edges[1:], rho_bounds[0], side="right")),
+                 int(np.searchsorted(edges[:-1], rho_bounds[1], side="left")))
+
+
+def _cell_shifts(vgrid: VelocityGrid, rows: slice = slice(None), axis: int = -2) -> tuple:
+    """The tables of _single_cell_maxwellian for the velocity cells rows
+    laid along the given axis, -2 (picard_solve's rows) or -1 (the engine's
+    v-axis): the edge of each cell nearer v = 0, w_hi for v < 0 and w_lo for
+    v > 0, in dv units, shaped to broadcast along that axis, and the number
+    of those cells with v < 0."""
+    half = vgrid.n_v // 2
+    start, stop, _ = rows.indices(vgrid.n_v)
+    edges = vgrid.edges() / vgrid.dv
+    shift = np.concatenate([edges[1:half + 1], edges[half:-1]])[start:stop]  # w_hi, then w_lo
+    return shift.reshape((-1,) + (1,) * (-1 - axis)), min(max(half - start, 0), stop - start)
+
+
+def _single_cell_maxwellian(r: np.ndarray, shift: np.ndarray, neg: int) -> np.ndarray:
+    """Cell average of chi_rho on one v-cell per entry along the axis of
+    _cell_shifts' (shift, neg), in place: r holds densities in dv units,
+    r = rho/dv, and its j-th entry along that axis is the one seen by the
+    j-th cell.  picard_solve's pair terms have their rows on axis -2;
+    run_simulation's relaxation passes rho/dv broadcast along its v-axis.
+
+    v = 0 is a cell edge, so with the cell edges w_lo < w_hi in dv units a
+    cell with v > 0 is clip(r - w_lo, 0, 1) and a cell with v < 0 is
+    clip(r - w_hi, -1, 0); a half without cells is not clipped.  That is
+    maxwellian_cell_average(rho) on those cells up to the sign of zero: the
+    lift holds -0.0 in the cells of a negative density outside [rho, 0],
+    where this kernel holds +0.0.  M + alpha (u~ - M) with M a zero differs between the
+    two only where alpha u~ underflows to -0.0 from a u~ within a few
+    2^-1074 of zero, as in _monotone_1d's caveat.
+    """
+    r -= shift
+    axes = (slice(None),) * (shift.ndim - 1)  # the axes after the cells' axis
+    if neg:
+        below = (..., slice(None, neg)) + axes
+        np.clip(r[below], -1.0, 0.0, out=r[below])
+    if neg < shift.shape[0]:
+        above = (..., slice(neg, None)) + axes
+        np.clip(r[above], 0.0, 1.0, out=r[above])
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +460,7 @@ def _window(support, reach, sgrid: SpatialGrid) -> tuple:
     widened on each axis a by ceil(reach[a]) + 2 cells and clipped to the
     box, empty when support is None.  reach[a] is in cells: for one engine
     step (|dB_a| + dt max|f'| max|b_a|)/h.  The window is the full box when
-    a reach is not finite, so non-finite increments and drifts reach the
-    engine's non-finite check.
+    a reach is not finite.
 
     edge is True when that clip took effect on some axis, or a reach is not
     finite: mass of the state may then leave the box in the step, which the
@@ -435,6 +499,14 @@ def _in_padded(win: tuple) -> tuple:
     return tuple(slice(sl.start + 2, sl.stop + 2) for sl in win)
 
 
+def _widen(values: np.ndarray, rows: slice, n_v: int) -> np.ndarray:
+    """values on the v-cells rows (v-axis last) as a fresh C-ordered array
+    of all n_v cells, the others +0.0."""
+    out = np.zeros(values.shape[:-1] + (n_v,))
+    out[..., rows] = values
+    return out
+
+
 def run_simulation(spec: ProblemSpec, config: BGKConfig,
                    path: BrownianPath) -> Trajectory:
     """March the BGK approximation over [0, horizon] and collect snapshots.
@@ -446,52 +518,95 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
     the state can reach: the bounding box of the cells where u is non-zero
     in some v-cell (u, not rho: a sign-changing u can have rho = 0), widened
     on axis a by ceil((|dB_a| + dt max|f'| max|b_a|)/h) + 2 cells, rounded up
-    to a multiple of n/128 cells (see _window) and clipped to the box.  The
-    window is the full box when that reach is not finite, so a non-finite
-    increment or drift still aborts here.  The next support is searched
-    inside the window only, since it cannot leave it.
+    to a multiple of n/128 cells (see _window) and clipped to the box.  A
+    step whose reach is not finite (a non-finite increment or drift) aborts
+    before it moves anything, as a full-box step did once its density turned
+    non-finite.  The next support is searched inside the window only, since
+    it cannot leave it.
 
     At the first step whose window the box edge clips (_window's edge
     flag), where mass may leave the box, the run warns once, "padded box
     may be too small", naming the step and its end time.
 
-    u lives in one zero-padded buffer of shape (n + 4)^d x n_v, laid out as
-    _pad lays it out, so the gather reads it as it is.  The gather, the
-    relaxation and the defect prefix return fresh arrays, so a step then
-    zeros only the window the buffer held (at first the whole box) and
-    writes the new window into it.  Every cell outside the window is +0.0,
-    so the non-finite check reads the window's density, and the full
-    density is built only at snapshots.  u_l1 sums np.abs of the
-    interior, a fresh C-ordered array of the full shape, so np.sum's
-    pairwise order, which depends on the shape, is that of a full-box step;
-    for the same reason a slab's defect prefixes are added into the windows
-    of one full-shape buffer, which each snapshot sums and zeros.
+    Each step also works on the live v-cells of _live_rows(rho_bounds)
+    only, and the relaxation lifts the frozen density with
+    _single_cell_maxwellian, picard_solve's kernel, on those cells.  Every
+    other v-cell of a full-width step is +0.0 after the step: the transport
+    reads zero cells there, whose lerp or bilinear value is a zero; the
+    frozen density stays in rho_bounds, where the lift of those cells is a
+    zero; and M + alpha (u~ - M) is +0.0 for a zero M and a zero u~ of
+    either sign.  So:
+    * u~ is widened to all n_v cells with +0.0 before its density is
+      summed, since np.sum's pairwise order depends on the length.  Only
+      the signs of zeros differ from a full-width u~, and a cell whose sum
+      is a zero is +0.0 either way;
+    * the defect prefix of a full-width step is +0.0 below the live cells,
+      whose jumps are +0.0, and above them the last live cell's prefix.
+      The slab buffer keeps all n_v cells and gets those values;
+    * u_l1 and the final u are summed or returned widened with +0.0.  A run
+      of no steps returns the full lift of rho0, which may hold -0.0.
+    Within the live cells the single-cell Maxwellian equals the lift up to
+    the sign of zero, which changes the relaxed value only where alpha u~
+    underflows (see _single_cell_maxwellian).  _Engine.drift keeps the
+    speed of every v-cell, so windows and warnings do not depend on the
+    live cells.  The feet's drift part x - dt f' b of the live cells is
+    built once per run (_drift_feet).
+
+    u lives in one zero-padded buffer of shape (n + 4)^d x (live v-cells),
+    laid out as _pad lays it out, so the gather reads it as it is.  The
+    gather, the relaxation and the defect prefix return fresh arrays, so a
+    step then zeros only the window the buffer held (at first the whole
+    box) and writes the new window into it.  Every cell outside the window
+    is +0.0, so the non-finite check reads the window's density, and the
+    full density is built only at snapshots.  u_l1 sums np.abs of the
+    widened interior, a fresh C-ordered array of the full shape, so
+    np.sum's pairwise order, which depends on the shape, is that of a
+    full-box step; for the same reason a slab's defect prefixes are added
+    into the windows of one full-shape buffer, which each snapshot sums and
+    zeros.
     """
     eng = _Engine(spec, config, path)
     n_steps = config.n_steps
     stride = config.snapshot_stride
     full = _full_box(eng.sgrid)
-    buf = _pad(maxwellian_cell_average(eng.rho0.values, eng.vgrid), eng.sgrid.dim)
+    n_v, dv = eng.vgrid.n_v, eng.vgrid.dv
+    rows = _live_rows(eng.vgrid, eng.rho_bounds)
+    above = (slice(rows.stop, None),)  # the v-cells above the live ones
+    cells = _cell_shifts(eng.vgrid, rows, axis=-1)
+    feet = _drift_feet(eng.sgrid, config.dt, eng.fp[rows], eng.b_grid)
+    lift = maxwellian_cell_average(eng.rho0.values, eng.vgrid)
+    buf = _pad(lift[..., rows], eng.sgrid.dim)
     u, held = buf[_in_padded(full)], full  # u views the buffer; held: the window it holds
 
     snap_times = [0.0]
     snaps = [eng.rho0.values.copy()]
-    vol, dv = eng.sgrid.cell_volume, eng.vgrid.dv
-    u_l1 = [float(np.sum(np.abs(u)) * vol * dv)]
-    slab = np.zeros(u.shape)  # the open slab's summed defect prefix
+    vol = eng.sgrid.cell_volume
+    u_l1 = [float(np.sum(np.abs(lift)) * vol * dv)]
+    slab = np.zeros(lift.shape)  # the open slab's summed defect prefix
     slab_times, slab_mass, min_entry = [], [], 0.0
 
     support, warned = _support(u, full), False
     for k in range(n_steps):
         t_next = (k + 1) * config.dt
-        win, edge = _window(support, (np.abs(path.increments[k]) + eng.drift) / eng.sgrid.h,
-                            eng.sgrid)
-        u_tilde = _transport_values(buf, path.increments[k], config.dt, eng.sgrid,
-                                    eng.fp, eng.b_grid, win)
-        u_win, rho_win = _relax(u_tilde, eng.vgrid, eng.alpha, eng.rho_bounds)
+        reach = (np.abs(path.increments[k]) + eng.drift) / eng.sgrid.h
+        if not np.all(np.isfinite(reach)):
+            raise NumericalAbortError(
+                f"non-finite increment or drift at step {k + 1} (t = {t_next})",
+                step=k + 1, time=t_next,
+            )
+        win, edge = _window(support, reach, eng.sgrid)
+        u_tilde = _transport_values(buf, feet, path.increments[k], eng.sgrid, win)
+        rho_win = kinetic_density_values(_widen(u_tilde, rows, n_v), dv)
+        np.clip(rho_win, eng.rho_bounds[0], eng.rho_bounds[1], out=rho_win)
+        m = np.empty(u_tilde.shape)
+        np.divide(rho_win[..., None], dv, out=m)  # rho/dv on every live cell
+        _single_cell_maxwellian(m, *cells)
+        u_win = m + eng.alpha * (u_tilde - m)
         prefix, low = _defect_prefix(u_tilde, u_win, dv)
         min_entry = min(min_entry, low)  # 0.0 covers the +0.0 cells outside the window
-        slab[win] += prefix
+        slab[win + (rows,)] += prefix
+        if prefix.shape[-1]:
+            slab[win + above] += prefix[..., -1:]
         if rho_win.size and not (np.isfinite(rho_win.max()) and np.isfinite(rho_win.min())):
             raise NumericalAbortError(
                 f"non-finite density at step {k + 1} (t = {t_next})",
@@ -511,7 +626,7 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
             snap_times.append(t_next)
             snaps.append(np.zeros(eng.sgrid.shape))
             snaps[-1][win] = rho_win
-            u_l1.append(float(np.sum(np.abs(u)) * vol * dv))
+            u_l1.append(float(np.sum(np.abs(_widen(u, rows, n_v))) * vol * dv))
 
     return Trajectory(
         sgrid=eng.sgrid,
@@ -522,7 +637,8 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
         slab_times=slab_times,
         slab_mass=slab_mass,
         min_entry=min_entry,
-        final_u=KineticField(eng.sgrid, eng.vgrid, np.ascontiguousarray(u)),
+        final_u=KineticField(eng.sgrid, eng.vgrid,
+                             lift if n_steps == 0 else _widen(u, rows, n_v)),
         path=path,
         spec=spec,
         config=config,
@@ -538,47 +654,6 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
 # at 72 MB, of 16 at 75 MB and a whole row of pairs per block at 81 MB;
 # blocks of 8, 12 or 16 were no faster than 6
 _PAIR_BLOCK = 6
-
-
-def _cell_shifts(vgrid: VelocityGrid, rows: slice = slice(None)) -> tuple:
-    """The tables of _single_cell_maxwellian for the velocity cells rows:
-    the edge of each cell nearer v = 0, w_hi for v < 0 and w_lo for v > 0,
-    in dv units as a column, and the number of those cells with v < 0."""
-    half = vgrid.n_v // 2
-    start, stop, _ = rows.indices(vgrid.n_v)
-    edges = vgrid.edges() / vgrid.dv
-    shift = np.concatenate([edges[1:half + 1], edges[half:-1]])[start:stop]  # w_hi, then w_lo
-    return shift[:, None], min(max(half - start, 0), stop - start)
-
-
-def _single_cell_maxwellian(r: np.ndarray, shift: np.ndarray, neg: int) -> np.ndarray:
-    """Cell average of chi_rho on one v-cell per row, in place: r holds
-    densities in dv units, r = rho/dv, and its row j (axis -2) is the one
-    seen by the j-th cell of _cell_shifts' (shift, neg).
-
-    v = 0 is a cell edge, so with the cell edges w_lo < w_hi in dv units a
-    row with v > 0 is clip(r - w_lo, 0, 1) and a row with v < 0 is
-    clip(r - w_hi, -1, 0); a half without rows is not clipped.  Equals
-    maxwellian_cell_average(rho).T on rows broadcast from one density, up
-    to the sign of zero.
-    """
-    r -= shift
-    if neg:
-        np.clip(r[..., :neg, :], -1.0, 0.0, out=r[..., :neg, :])
-    if neg < r.shape[-2]:
-        np.clip(r[..., neg:, :], 0.0, 1.0, out=r[..., neg:, :])
-    return r
-
-
-def _live_rows(vgrid: VelocityGrid, rho_bounds) -> slice:
-    """The v-cells that meet the open interval (rho_bounds[0], rho_bounds[1]),
-    which holds 0: the only cells where the single-cell Maxwellian of a
-    density in rho_bounds can be non-zero.  A cell (e_j, e_j+1) with v > 0
-    holds clip((rho - e_j)/dv, 0, 1), a zero unless rho > e_j, and one with
-    v < 0 holds a zero unless rho < e_j+1; the edges are exact."""
-    edges = vgrid.edges()
-    return slice(int(np.searchsorted(edges[1:], rho_bounds[0], side="right")),
-                 int(np.searchsorted(edges[:-1], rho_bounds[1], side="left")))
 
 
 def contraction_bound(spec: ProblemSpec, window: float, epsilon: float,

@@ -1,5 +1,7 @@
 """Audit checks: residuals, bounds, comparison, Holder fits, commutator."""
 
+import hashlib
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -14,12 +16,15 @@ from stochbgk.audit import (SpatialBump, TemporalRamp, VelocityCutoff,
                             kinetic_residual, run_standard_audit)
 from stochbgk.bgk import BGKConfig, run_simulation
 from stochbgk.brownian import sample_path
+from stochbgk.config import build_bgk_config, build_spec, load_config, validate_run_config
 from stochbgk.errors import ConfigurationError
 from stochbgk.grids import SpatialGrid
-from stochbgk.problem import (burgers_const_1d, burgers_tanh_1d, bump_data,
-                              plateau_data, random_bv_data, riemann_data)
+from stochbgk.problem import (burgers_const_1d, burgers_tanh_1d, bump_data, linear_flux,
+                              make_spec, plateau_data, random_bv_data, riemann_data,
+                              shear_field_2d)
 
 REFS = [-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75]
+GOLDEN_CONFIG = pathlib.Path(__file__).parent / "golden" / "config.json"
 
 
 def _run(spec=None, seed=9, T=0.24, n=192, dt_frac=64, eps_mult=2,
@@ -117,6 +122,34 @@ class TestEntropyResidual:
         worst, _ = entropy_residual(rho, np.arange(61) * 0.005, np.zeros((61, 1)), grid,
                                     spec, REFS)
         assert worst < -0.05
+
+    # sha256 of repr(rows), recorded when each bump recomputed every entropy
+    ROWS_DIGESTS = {
+        "golden": (48, "5ef5b8ea87615d2caa37a59166e5e9579d36b39a01c5c22ecdcf0f9c9660cf53"),
+        "2d": (12, "d5163f6312862261e825bbe1dfaf69f29b1b71fbf51ccec4832926d82939e27d"),
+    }
+
+    @pytest.mark.parametrize("case", list(ROWS_DIGESTS))
+    def test_rows_are_pinned(self, case):
+        # the golden run of tests/golden with the references of run_standard_audit;
+        # a 2D shear run with one bump centre, so its rows are (2 widths) x (6 entropies)
+        if case == "golden":
+            doc = validate_run_config(load_config(GOLDEN_CONFIG))
+            spec, cfg, seed = build_spec(doc), build_bgk_config(doc), 7
+        else:
+            spec = make_spec(2, linear_flux(), shear_field_2d(0.5, 1.0),
+                             bump_data((0.0, 0.0), 1.0, 0.9))
+            cfg, seed = BGKConfig(epsilon=0.02, dt=0.01, horizon=0.1, half_width=3.0, n=32,
+                                  n_v=8, snapshot_stride=2), 2
+        traj = run_simulation(spec, cfg, sample_path(seed, cfg.dt, cfg.horizon, dim=spec.dim))
+        refs = ([k * traj.vgrid.bound for k in (-0.75, -0.25, 0.0, 0.25, 0.5, 0.75)]
+                if case == "golden" else [-0.5, 0.0, 0.25, 0.5])
+        worst, rows = _entropy(traj, refs)
+        count, digest = self.ROWS_DIGESTS[case]
+        assert len(rows) == count
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+        # worst is the first smallest residual in row order
+        assert repr(worst) == repr(min(r[-1] for r in rows))
 
     def test_family_monotonicity(self):
         traj, spec, cfg, _ = _run()

@@ -23,7 +23,7 @@ from stochbgk.fields import (DensityField, KineticField, check_kinetic_structure
                              lift_density, maxwellian_cell_average)
 from stochbgk.grids import SpatialGrid, VelocityGrid
 from stochbgk.problem import (burgers_const_1d, burgers_tanh_1d, bump_data,
-                              linear_const_1d, plateau_data, random_bv_data)
+                              linear_const_1d, plateau_data, random_bv_data, riemann_data)
 
 
 def _lift(spec, n=64, L=3.0, n_v=16):
@@ -168,8 +168,8 @@ class TestKernels:
             fx = X[:, :, None] - dt * fp[None, None, :] * b_grid[..., 0][:, :, None] - dB[0]
             fy = Y[:, :, None] - dt * fp[None, None, :] * b_grid[..., 1][:, :, None] - dB[1]
             ref = _monotone(values, ((fx - x0) / grid.h, (fy - x0) / grid.h))
-        out = bgk._transport_values(_pad(values, d), dB, dt, grid, fp, b_grid,
-                                    (slice(0, n),) * d)
+        out = bgk._transport_values(_pad(values, d), bgk._drift_feet(grid, dt, fp, b_grid),
+                                    dB, grid, (slice(0, n),) * d)
         assert out.shape == ref.shape == values.shape
         assert out.tobytes() == ref.tobytes()
 
@@ -449,6 +449,36 @@ class TestDefect:
             accumulate_defect(a, b, 0.01, 0.01)
 
 
+def _pinned_case(kind):
+    """(spec, config, path) of one run whose output bytes are pinned."""
+    T = 0.2
+    dt = T / 64
+    spec, seed = None, 7
+    kw = dict(epsilon=2 * dt, dt=dt, horizon=T, half_width=3.0, n=64, n_v=16,
+              snapshot_stride=8)
+    if kind == "plateau":
+        spec = burgers_const_1d(plateau_data(1.0, -1.0, 0.0), c=1.0)
+    elif kind == "cusp64":
+        steps = round(64 / 6.0)
+        kw.update(epsilon=2.0 / steps, dt=1.0 / steps, horizon=1.0, n_v=8,
+                  snapshot_stride=steps)
+        spec = cusp_flow_spec(cusp_data())
+    elif kind == "riemann-tanh":  # sign-changing, filling the box
+        spec, seed = burgers_tanh_1d(riemann_data(0.6, -0.4, 0.3), amplitude=1.5), 3
+        kw.update(n_v=8, snapshot_stride=16)
+    elif kind == "bump-vbound2":  # dead v-cells above the live ones
+        spec, seed = burgers_const_1d(bump_data(0.0, 1.0, 0.9), c=1.0), 5
+        kw.update(v_bound=2.0)
+    elif kind == "zero":  # no live v-cells
+        spec = burgers_const_1d(lambda g: np.zeros(g.shape), c=1.0)
+        kw.update(n_v=8)
+    elif kind == "negative-one-step":  # dead v-cells on both sides of the live ones
+        spec, seed = burgers_tanh_1d(bump_data(0.5, 1.0, -0.7), amplitude=2.0), 3
+        kw.update(epsilon=0.02, dt=0.01, horizon=0.01, v_bound=2.0)
+    cfg = BGKConfig(**kw)
+    return spec, cfg, sample_path(seed, cfg.dt, cfg.horizon, dim=spec.dim)
+
+
 class TestRun:
     def _run(self, seed=7, n=128, T=0.2, zero=False, spec=None, **kw):
         spec = spec or burgers_const_1d(plateau_data(1.0, -1.0, 0.0), c=1.0)
@@ -464,6 +494,70 @@ class TestRun:
         spec = burgers_const_1d(lambda g: np.zeros(g.shape), c=1.0)
         traj, _, _ = self._run(spec=spec)
         assert np.all(traj.rho == 0.0)
+
+    # sha256 of (rho, final_u, u_l1, slab_mass, min_entry, times), recorded
+    # with an engine that stepped every v-cell and lifted with
+    # maxwellian_cell_average
+    ENGINE_DIGESTS = {
+        "plateau": "9c8337f0ad470726aa23adde26f5ff413180f964907cc2cebded5d17d85af505",
+        "cusp64": "484bbed9ac7a542881725f53c999a97476632f0c186a305aec2766839d2cac55",
+        "riemann-tanh": "9af2b3cf53b9feca3a9417bec687a0701f3e59882d8d8ee981110118a80795c8",
+        "bump-vbound2": "a7192e4be4542ebbe7150f4f721ae9c10aa0d878d53592abd1a0d3fe819f9bee",
+        "zero": "5d482385642979c394b18fd0ba8ba79a00c51b35f84bec345c0853df6ddf552a",
+        "negative-one-step": "67e17479457b0089bdd4f941f237362bc92a0925e10365ec978f41c73ef6e00e",
+    }
+
+    @pytest.mark.parametrize("kind", list(ENGINE_DIGESTS))
+    def test_engine_bytes_are_pinned(self, kind):
+        traj = run_simulation(*_pinned_case(kind))
+        digest = hashlib.sha256()
+        for values in (traj.rho, traj.final_u.values, traj.u_l1, traj.slab_mass,
+                       traj.min_entry, traj.times):
+            digest.update(np.asarray(values, dtype=float).tobytes())
+        assert digest.hexdigest() == self.ENGINE_DIGESTS[kind]
+
+    @pytest.mark.parametrize("kind, live", [("bump-vbound2", 4), ("negative-one-step", 3),
+                                            ("riemann-tanh", 5), ("zero", 0)])
+    def test_steps_only_the_live_v_cells(self, monkeypatch, kind, live):
+        # n_v = 16 on [-2, 2] or 8 on [-1, 1] (dv = 1/4): the cells meeting
+        # (min rho0, max rho0), each gathered, lifted and prefix-summed
+        widths = {"lift": [], "prefix": []}
+        lift, prefix = bgk._single_cell_maxwellian, bgk._defect_prefix
+
+        def counted_lift(r, *args):
+            widths["lift"].append(r.shape[-1])
+            return lift(r, *args)
+
+        def counted_prefix(before, after, dv):
+            widths["prefix"].append(before.shape[-1])
+            return prefix(before, after, dv)
+
+        monkeypatch.setattr(bgk, "_single_cell_maxwellian", counted_lift)
+        monkeypatch.setattr(bgk, "_defect_prefix", counted_prefix)
+        spec, cfg, path = _pinned_case(kind)
+        traj = run_simulation(spec, cfg, path)
+        assert widths == {"lift": [live] * cfg.n_steps, "prefix": [live] * cfg.n_steps}
+        assert traj.final_u.values.shape[-1] == cfg.n_v
+
+    def test_run_of_no_steps_returns_the_lift(self):
+        # a negative bump's lift holds -0.0 outside [rho, 0]
+        spec = burgers_tanh_1d(bump_data(0.2, 1.0, -0.7), 2.0)
+        cfg = BGKConfig(epsilon=0.02, dt=0.01, horizon=0.004, half_width=3.0, n=32, n_v=8,
+                        v_bound=2.0)
+        traj = run_simulation(spec, cfg, sample_path(1, cfg.dt, cfg.dt, dim=1))
+        lift = maxwellian_cell_average(traj.rho[0], traj.vgrid)
+        assert cfg.n_steps == 0 and np.any(np.signbit(lift) & (lift == 0.0))
+        assert traj.final_u.values.tobytes() == lift.tobytes()
+
+    def test_zero_data_with_a_non_finite_increment_aborts(self):
+        spec = burgers_const_1d(lambda g: np.zeros(g.shape), c=1.0)
+        dt = 0.01
+        cfg = BGKConfig(epsilon=0.02, dt=dt, horizon=3 * dt, half_width=3.0, n=32, n_v=8)
+        path = BrownianPath(dim=1, dt=dt, horizon=cfg.horizon,
+                            increments=[[0.0], [math.nan], [0.0]], seed=0)
+        with pytest.raises(NumericalAbortError) as err:
+            run_simulation(spec, cfg, path)
+        assert err.value.step == 2
 
     def test_single_step_max_principle(self):
         spec = burgers_const_1d(plateau_data(1.0, -1.0, 0.0), c=1.0)
@@ -696,14 +790,15 @@ class TestSupportWindow:
         assert repr(traj.min_entry) == repr(min_entry)
 
     def _relaxed_cells(self, monkeypatch, spec, cfg, path):
+        # the relaxation lifts its frozen density once per step, on the window
         cells = []
-        relax = bgk._relax
+        lift = bgk._single_cell_maxwellian
 
-        def counting(values, *args):
-            cells.append(math.prod(values.shape[:-1]))
-            return relax(values, *args)
+        def counting(r, *args):
+            cells.append(math.prod(r.shape[:-1]))
+            return lift(r, *args)
 
-        monkeypatch.setattr(bgk, "_relax", counting)
+        monkeypatch.setattr(bgk, "_single_cell_maxwellian", counting)
         run_simulation(spec, cfg, path)
         assert len(cells) == cfg.n_steps
         return sum(cells)
@@ -1031,6 +1126,9 @@ class TestPicard:
         assert live.tobytes() == cells[rows].tobytes()
         block = _single_cell_maxwellian(np.stack([r[rows]] * 3), *_cell_shifts(vg, rows))
         assert block.tobytes() == np.stack([cells[rows]] * 3).tobytes()
+        # and with the cells on the last axis, as the engine lays them out
+        v_last = _single_cell_maxwellian(r[rows].T.copy(), *_cell_shifts(vg, rows, axis=-1))
+        assert v_last.tobytes() == cells[rows].T.tobytes()
 
     def test_non_finite_increment_aborts(self):
         # as run_simulation: the first non-finite path node names the step
