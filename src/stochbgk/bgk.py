@@ -15,6 +15,10 @@ The relaxation jump u_after - u_before equals the slab time integral of
 v-prefix sums are the slab's kinetic defect measure; they are nonnegative
 by the sign structure of u.
 
+The public substeps transport_substep, relax_substep and accumulate_defect
+are full-box calls of the engine's kernels _transport_values, _relax and
+_defect_prefix.
+
 The noise is spatially constant and the drift f'(v) b(x) has finite speed,
 so a compactly supported state stays compactly supported: in one step its
 support moves by at most ceil((|dB_a| + dt max|f'| max|b_a|)/h) cells along
@@ -45,7 +49,8 @@ import numpy as np
 
 from .brownian import BrownianPath
 from .errors import ConfigurationError, NumericalAbortError, StructuralViolationError
-from .fields import (DensityField, KineticField, kinetic_density_values,
+from .fields import (DensityField, KineticField, _cell_shifts, _check_density_bound,
+                     _single_cell_maxwellian, kinetic_density_values,
                      maxwellian_cell_average)
 from .grids import SpatialGrid, VelocityGrid
 from .problem import ProblemSpec
@@ -208,15 +213,14 @@ def _monotone_1d(padded: np.ndarray, s: np.ndarray) -> np.ndarray:
     below the box and the result is fl(0 + 1 (b - 0)) = b.
 
     The clamp this replaces changed only signs of zeros: the lerp of two
-    zeros is +0.0, which the clamp made -0.0 when b = -0.0.  The lift of a
-    negative density holds -0.0 in its v-cells outside [rho, 0].  The
-    engine's outputs drop that sign.  The relaxation m + alpha (u~ - m) and
-    the defect prefix (that value minus u~) are +0.0 for either zero and
-    either sign of a zero m.  The density sums a cell's v-cells, so a
-    clamped -0.0 density needs b = -0.0 in every v-cell; in the v-cell just
-    below v = 0 no lift has a -0.0, and a relaxed state has one only where
-    alpha u~ underflows from -2^-1074 beside m = -0.0.  Picard adds the
-    values to sums that start at +0.0.
+    zeros is +0.0, which the clamp made -0.0 when b = -0.0.  The engine's
+    outputs drop that sign.  The relaxation m + alpha (u~ - m) and the
+    defect prefix (that value minus u~) are +0.0 for either sign of a zero
+    u~ and of a zero m.  The density sums a cell's v-cells, so a clamped
+    -0.0 density needs b = -0.0 in every v-cell; the lift holds no -0.0,
+    and a relaxed state holds one only where alpha u~ underflows from
+    -2^-1074 beside m = -0.0.  Picard adds the values to sums that start
+    at +0.0.
     """
     (a, b), (w,) = _padded_gather(padded, (s,))
     b -= a
@@ -238,12 +242,6 @@ def _monotone_padded(padded: np.ndarray, coords) -> np.ndarray:
     lo = np.minimum(np.minimum(c00, c10), np.minimum(c01, c11))
     hi = np.maximum(np.maximum(c00, c10), np.maximum(c01, c11))
     return np.clip(out, lo, hi)
-
-
-def _monotone(values: np.ndarray, coords) -> np.ndarray:
-    """_monotone_padded of values (d spatial axes, then optionally the
-    v-axis) with two zero cells padded on each side."""
-    return _monotone_padded(_pad(values, len(coords)), coords)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +299,33 @@ def transport_substep(u: KineticField, t: float, dt: float,
     return KineticField(u.sgrid, u.vgrid, new)
 
 
+def _widen(values: np.ndarray, rows: slice, n_v: int) -> np.ndarray:
+    """values on the v-cells rows (v-axis last) as a fresh C-ordered array
+    of all n_v cells, the others +0.0."""
+    out = np.zeros(values.shape[:-1] + (n_v,))
+    out[..., rows] = values
+    return out
+
+
+def _relax(u_tilde: np.ndarray, rows: slice, vgrid: VelocityGrid, rho_bounds,
+           alpha: float, cells: tuple):
+    """(frozen density, relaxed values) of raw kinetic values u~ on the
+    v-cells rows (v-axis last), whose tables cells are
+    _cell_shifts(vgrid, rows, axis=-1).
+
+    The density sums u~ widened with +0.0 to all n_v cells (np.sum's
+    pairwise order depends on the length) and is clipped to rho_bounds.
+    The relaxed values are M + alpha (u~ - M) with M its single-cell
+    Maxwellian on rows.
+    """
+    rho = kinetic_density_values(_widen(u_tilde, rows, vgrid.n_v), vgrid.dv)
+    np.clip(rho, rho_bounds[0], rho_bounds[1], out=rho)
+    m = np.empty(u_tilde.shape)
+    np.divide(rho[..., None], vgrid.dv, out=m)  # rho/dv on every cell of rows
+    _single_cell_maxwellian(m, *cells)
+    return rho, m + alpha * (u_tilde - m)
+
+
 def relax_substep(u_tilde: KineticField, epsilon: float, dt: float,
                   rho_bounds=None) -> KineticField:
     """Exact one-slab relaxation toward the Maxwellian of the frozen density.
@@ -309,16 +334,16 @@ def relax_substep(u_tilde: KineticField, epsilon: float, dt: float,
     conserved and a Maxwellian input is returned unchanged, bit for bit.
     ``rho_bounds`` clips the frozen density, by default to [-N, N]; the
     engine passes the sign range of rho0, which makes the discrete maximum
-    principle exact.
+    principle exact.  A clipped density outside [-N, N] raises
+    RangeViolationError, as the lift of such a density does.
     """
+    vg = u_tilde.vgrid
     if rho_bounds is None:
-        rho_bounds = (-u_tilde.vgrid.bound, u_tilde.vgrid.bound)
-    values = u_tilde.values
-    rho = kinetic_density_values(values, u_tilde.vgrid.dv)
-    np.clip(rho, rho_bounds[0], rho_bounds[1], out=rho)
-    m = maxwellian_cell_average(rho, u_tilde.vgrid)
-    new = m + math.exp(-dt / epsilon) * (values - m)
-    return KineticField(u_tilde.sgrid, u_tilde.vgrid, new)
+        rho_bounds = (-vg.bound, vg.bound)
+    rho, new = _relax(u_tilde.values, slice(None), vg, rho_bounds, math.exp(-dt / epsilon),
+                      _cell_shifts(vg, axis=-1))
+    _check_density_bound(rho, vg)
+    return KineticField(u_tilde.sgrid, vg, new)
 
 
 def accumulate_defect(u_before_relax: KineticField, u_after_relax: KineticField,
@@ -348,7 +373,7 @@ def _defect_prefix(before: np.ndarray, after: np.ndarray, dv: float):
 
 
 # ---------------------------------------------------------------------------
-# live v-cells and their Maxwellian, shared by both solvers
+# live v-cells, shared by both solvers
 
 def _live_rows(vgrid: VelocityGrid, rho_bounds) -> slice:
     """The v-cells that meet the open interval (rho_bounds[0], rho_bounds[1]),
@@ -363,46 +388,6 @@ def _live_rows(vgrid: VelocityGrid, rho_bounds) -> slice:
     edges = vgrid.edges()
     return slice(int(np.searchsorted(edges[1:], rho_bounds[0], side="right")),
                  int(np.searchsorted(edges[:-1], rho_bounds[1], side="left")))
-
-
-def _cell_shifts(vgrid: VelocityGrid, rows: slice = slice(None), axis: int = -2) -> tuple:
-    """The tables of _single_cell_maxwellian for the velocity cells rows
-    laid along the given axis, -2 (picard_solve's rows) or -1 (the engine's
-    v-axis): the edge of each cell nearer v = 0, w_hi for v < 0 and w_lo for
-    v > 0, in dv units, shaped to broadcast along that axis, and the number
-    of those cells with v < 0."""
-    half = vgrid.n_v // 2
-    start, stop, _ = rows.indices(vgrid.n_v)
-    edges = vgrid.edges() / vgrid.dv
-    shift = np.concatenate([edges[1:half + 1], edges[half:-1]])[start:stop]  # w_hi, then w_lo
-    return shift.reshape((-1,) + (1,) * (-1 - axis)), min(max(half - start, 0), stop - start)
-
-
-def _single_cell_maxwellian(r: np.ndarray, shift: np.ndarray, neg: int) -> np.ndarray:
-    """Cell average of chi_rho on one v-cell per entry along the axis of
-    _cell_shifts' (shift, neg), in place: r holds densities in dv units,
-    r = rho/dv, and its j-th entry along that axis is the one seen by the
-    j-th cell.  picard_solve's pair terms have their rows on axis -2;
-    run_simulation's relaxation passes rho/dv broadcast along its v-axis.
-
-    v = 0 is a cell edge, so with the cell edges w_lo < w_hi in dv units a
-    cell with v > 0 is clip(r - w_lo, 0, 1) and a cell with v < 0 is
-    clip(r - w_hi, -1, 0); a half without cells is not clipped.  That is
-    maxwellian_cell_average(rho) on those cells up to the sign of zero: the
-    lift holds -0.0 in the cells of a negative density outside [rho, 0],
-    where this kernel holds +0.0.  M + alpha (u~ - M) with M a zero differs between the
-    two only where alpha u~ underflows to -0.0 from a u~ within a few
-    2^-1074 of zero, as in _monotone_1d's caveat.
-    """
-    r -= shift
-    axes = (slice(None),) * (shift.ndim - 1)  # the axes after the cells' axis
-    if neg:
-        below = (..., slice(None, neg)) + axes
-        np.clip(r[below], -1.0, 0.0, out=r[below])
-    if neg < shift.shape[0]:
-        above = (..., slice(neg, None)) + axes
-        np.clip(r[above], 0.0, 1.0, out=r[above])
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -499,14 +484,6 @@ def _in_padded(win: tuple) -> tuple:
     return tuple(slice(sl.start + 2, sl.stop + 2) for sl in win)
 
 
-def _widen(values: np.ndarray, rows: slice, n_v: int) -> np.ndarray:
-    """values on the v-cells rows (v-axis last) as a fresh C-ordered array
-    of all n_v cells, the others +0.0."""
-    out = np.zeros(values.shape[:-1] + (n_v,))
-    out[..., rows] = values
-    return out
-
-
 def run_simulation(spec: ProblemSpec, config: BGKConfig,
                    path: BrownianPath) -> Trajectory:
     """March the BGK approximation over [0, horizon] and collect snapshots.
@@ -529,13 +506,13 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
     may be too small", naming the step and its end time.
 
     Each step also works on the live v-cells of _live_rows(rho_bounds)
-    only, and the relaxation lifts the frozen density with
-    _single_cell_maxwellian, picard_solve's kernel, on those cells.  Every
-    other v-cell of a full-width step is +0.0 after the step: the transport
-    reads zero cells there, whose lerp or bilinear value is a zero; the
-    frozen density stays in rho_bounds, where the lift of those cells is a
-    zero; and M + alpha (u~ - M) is +0.0 for a zero M and a zero u~ of
-    either sign.  So:
+    only, and _relax lifts the frozen density with _single_cell_maxwellian,
+    picard_solve's kernel, on those cells.  Every other v-cell of a
+    full-width step is +0.0 after the step: the transport reads zero cells
+    there, whose lerp or bilinear value is a zero; the frozen density stays
+    in rho_bounds, where the lift of those cells is a zero; and
+    M + alpha (u~ - M) is +0.0 for a zero M and a zero u~ of either sign.
+    So:
     * u~ is widened to all n_v cells with +0.0 before its density is
       summed, since np.sum's pairwise order depends on the length.  Only
       the signs of zeros differ from a full-width u~, and a cell whose sum
@@ -543,14 +520,12 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
     * the defect prefix of a full-width step is +0.0 below the live cells,
       whose jumps are +0.0, and above them the last live cell's prefix.
       The slab buffer keeps all n_v cells and gets those values;
-    * u_l1 and the final u are summed or returned widened with +0.0.  A run
-      of no steps returns the full lift of rho0, which may hold -0.0.
-    Within the live cells the single-cell Maxwellian equals the lift up to
-    the sign of zero, which changes the relaxed value only where alpha u~
-    underflows (see _single_cell_maxwellian).  _Engine.drift keeps the
-    speed of every v-cell, so windows and warnings do not depend on the
-    live cells.  The feet's drift part x - dt f' b of the live cells is
-    built once per run (_drift_feet).
+    * u_l1 and the final u are summed or returned widened with +0.0.  The
+      lift of rho0 is +0.0 outside the live cells too, so a run of no steps
+      returns it.
+    _Engine.drift keeps the speed of every v-cell, so windows and warnings
+    do not depend on the live cells.  The feet's drift part x - dt f' b of
+    the live cells is built once per run (_drift_feet).
 
     u lives in one zero-padded buffer of shape (n + 4)^d x (live v-cells),
     laid out as _pad lays it out, so the gather reads it as it is.  The
@@ -596,12 +571,7 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
             )
         win, edge = _window(support, reach, eng.sgrid)
         u_tilde = _transport_values(buf, feet, path.increments[k], eng.sgrid, win)
-        rho_win = kinetic_density_values(_widen(u_tilde, rows, n_v), dv)
-        np.clip(rho_win, eng.rho_bounds[0], eng.rho_bounds[1], out=rho_win)
-        m = np.empty(u_tilde.shape)
-        np.divide(rho_win[..., None], dv, out=m)  # rho/dv on every live cell
-        _single_cell_maxwellian(m, *cells)
-        u_win = m + eng.alpha * (u_tilde - m)
+        rho_win, u_win = _relax(u_tilde, rows, eng.vgrid, eng.rho_bounds, eng.alpha, cells)
         prefix, low = _defect_prefix(u_tilde, u_win, dv)
         min_entry = min(min_entry, low)  # 0.0 covers the +0.0 cells outside the window
         slab[win + (rows,)] += prefix
@@ -637,8 +607,7 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
         slab_times=slab_times,
         slab_mass=slab_mass,
         min_entry=min_entry,
-        final_u=KineticField(eng.sgrid, eng.vgrid,
-                             lift if n_steps == 0 else _widen(u, rows, n_v)),
+        final_u=KineticField(eng.sgrid, eng.vgrid, _widen(u, rows, n_v)),
         path=path,
         spec=spec,
         config=config,

@@ -64,25 +64,67 @@ class KineticField:
             )
 
 
-def maxwellian_cell_average(rho, vgrid: VelocityGrid) -> np.ndarray:
-    """Exact cell averages of chi_rho on the velocity grid.
+def _cell_shifts(vgrid: VelocityGrid, rows: slice = slice(None), axis: int = -2) -> tuple:
+    """The tables of _single_cell_maxwellian for the velocity cells rows
+    laid along the given axis, -2 (picard_solve's rows) or -1 (a v-axis
+    last): the edge of each cell nearer v = 0, w_hi for v < 0 and w_lo for
+    v > 0, in dv units, shaped to broadcast along that axis, and the number
+    of those cells with v < 0."""
+    half = vgrid.n_v // 2
+    start, stop, _ = rows.indices(vgrid.n_v)
+    edges = vgrid.edges() / vgrid.dv
+    shift = np.concatenate([edges[1:half + 1], edges[half:-1]])[start:stop]  # w_hi, then w_lo
+    return shift.reshape((-1,) + (1,) * (-1 - axis)), min(max(half - start, 0), stop - start)
 
-    Accepts a scalar or an array of densities; the result appends the v-axis
-    last.  Raises RangeViolationError if any |rho| exceeds the grid bound.
+
+def _single_cell_maxwellian(r: np.ndarray, shift: np.ndarray, neg: int) -> np.ndarray:
+    """Cell average of chi_rho on one v-cell per entry along the axis of
+    _cell_shifts' (shift, neg), in place: r holds densities in dv units,
+    r = rho/dv, and its j-th entry along that axis is the one seen by the
+    j-th cell.  picard_solve's pair terms have their rows on axis -2; the
+    lift and the engine's relaxation pass rho/dv repeated along a v-axis
+    last.
+
+    v = 0 is a cell edge, so with the cell edges w_lo < w_hi in dv units a
+    cell with v > 0 is clip(r - w_lo, 0, 1) and a cell with v < 0 is
+    clip(r - w_hi, -1, 0); a half without cells is not clipped.  The
+    edges are small integers, so each value is exact.  A cell outside
+    [min(rho, 0), max(rho, 0)] is +0.0, save the two cells next to v = 0
+    when r is -0.0, which are -0.0.
     """
-    rho = np.asarray(rho, dtype=float)
+    r -= shift
+    axes = (slice(None),) * (shift.ndim - 1)  # the axes after the cells' axis
+    if neg:
+        below = (..., slice(None, neg)) + axes
+        np.clip(r[below], -1.0, 0.0, out=r[below])
+    if neg < shift.shape[0]:
+        above = (..., slice(neg, None)) + axes
+        np.clip(r[above], 0.0, 1.0, out=r[above])
+    return r
+
+
+def _check_density_bound(rho: np.ndarray, vgrid: VelocityGrid) -> None:
+    """Raise RangeViolationError if any |rho| exceeds the grid bound."""
     if np.any(np.abs(rho) > vgrid.bound):
         worst = float(np.max(np.abs(rho)))
         raise RangeViolationError(
             f"density {worst} exceeds velocity bound {vgrid.bound}"
         )
-    r = rho / vgrid.dv  # exact: dv is a power of two
-    w = np.arange(vgrid.n_v + 1, dtype=float) - vgrid.n_v // 2
-    lo = np.minimum(r, 0.0)[..., None]
-    hi = np.maximum(r, 0.0)[..., None]
-    s = np.clip(w, lo, hi)
-    frac = s[..., 1:] - s[..., :-1]
-    return np.where((r >= 0)[..., None], frac, -frac)
+
+
+def maxwellian_cell_average(rho, vgrid: VelocityGrid) -> np.ndarray:
+    """Exact cell averages of chi_rho on the velocity grid, by
+    _single_cell_maxwellian on every v-cell.
+
+    Accepts a scalar or an array of densities; the result appends the v-axis
+    last and holds no -0.0.  Raises RangeViolationError if any |rho|
+    exceeds the grid bound.
+    """
+    rho = np.asarray(rho, dtype=float)
+    _check_density_bound(rho, vgrid)
+    # exact, as dv is a power of two; + 0.0 makes a -0.0 density +0.0
+    r = np.repeat((rho / vgrid.dv + 0.0)[..., None], vgrid.n_v, axis=-1)
+    return _single_cell_maxwellian(r, *_cell_shifts(vgrid, axis=-1))
 
 
 def lift_density(field: DensityField, vgrid: VelocityGrid) -> KineticField:

@@ -1,4 +1,4 @@
-"""Stochastic characteristics dX = f'(v) b(X) dt + dB and their inverses.
+"""Inverse flow of the stochastic characteristics dX = f'(v) b(X) dt + dB.
 
 The noise is additive, so Ito and Stratonovich integration coincide pathwise
 and the substitution Y = X - B turns the SDE into a random ODE.  The inverse
@@ -46,16 +46,6 @@ def _window(q: FlowQuery, path: BrownianPath):
     return k0, k1
 
 
-def flow_forward(q: FlowQuery, path: BrownianPath, spec: ProblemSpec) -> np.ndarray:
-    """Euler-Maruyama X(start, end, x): drift at the left endpoint."""
-    k0, k1 = _window(q, path)
-    fp = float(spec.f_prime(q.velocity))
-    x = _as_points(q.point, path.dim).copy()
-    for k in range(k0, k1):
-        x += path.dt * fp * np.asarray(spec.b(x)) + path.increments[k]
-    return x
-
-
 def flow_inverse(q: FlowQuery, path: BrownianPath, spec: ProblemSpec) -> np.ndarray:
     """Backtrack X_{end,start}(x) = X(start, end, .)^{-1}(x).
 
@@ -70,20 +60,3 @@ def flow_inverse(q: FlowQuery, path: BrownianPath, spec: ProblemSpec) -> np.ndar
         y -= path.dt * fp * np.asarray(spec.b(y + nodes[k]))
     return y + nodes[k0]
 
-
-def jacobian_determinant(q: FlowQuery, path: BrownianPath, spec: ProblemSpec) -> np.ndarray:
-    """|grad_x X(start, end, x)| = exp(f'(v) int_s^t div b(X) dr).
-
-    Left-endpoint quadrature along the forward trajectory.  Exactly 1 for
-    divergence-free specs or f'(v) = 0 (computed as exp(0)).
-    """
-    k0, k1 = _window(q, path)
-    fp = float(spec.f_prime(q.velocity))
-    x = _as_points(q.point, path.dim).copy()
-    if spec.div_free or fp == 0.0:
-        return np.exp(np.zeros(x.shape[:-1]))
-    acc = np.zeros(x.shape[:-1])
-    for k in range(k0, k1):
-        acc += np.asarray(spec.div_b(x)) * path.dt
-        x += path.dt * fp * np.asarray(spec.b(x)) + path.increments[k]
-    return np.exp(fp * acc)

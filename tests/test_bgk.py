@@ -11,19 +11,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stochbgk import bgk
-from stochbgk.bgk import (BGKConfig, _cell_shifts, _live_rows, _monotone, _pad,
-                          _padded_gather, _single_cell_maxwellian, accumulate_defect,
-                          epsilon_continuation, picard_solve, relax_substep,
-                          run_simulation, transport_substep)
+from stochbgk.bgk import (BGKConfig, _live_rows, _monotone_padded, _pad, _padded_gather,
+                          accumulate_defect, epsilon_continuation, picard_solve,
+                          relax_substep, run_simulation, transport_substep)
 from stochbgk.brownian import BrownianPath, sample_path
 from stochbgk.counterexample import cusp_data, cusp_flow_spec
-from stochbgk.errors import ConfigurationError, NumericalAbortError, StructuralViolationError
-from stochbgk.fields import (DensityField, KineticField, check_kinetic_structure,
+from stochbgk.errors import (ConfigurationError, NumericalAbortError, RangeViolationError,
+                             StructuralViolationError)
+from stochbgk.fields import (DensityField, KineticField, _cell_shifts,
+                             _single_cell_maxwellian, check_kinetic_structure,
                              density_from_kinetic, kinetic_density_values,
                              lift_density, maxwellian_cell_average)
 from stochbgk.grids import SpatialGrid, VelocityGrid
 from stochbgk.problem import (burgers_const_1d, burgers_tanh_1d, bump_data,
                               linear_const_1d, plateau_data, random_bv_data, riemann_data)
+
+from conftest import clip_lift
+
+
+def _monotone(values, coords):
+    """_monotone_padded of values (d spatial axes, then optionally the
+    v-axis) with two zero cells padded on each side."""
+    return _monotone_padded(_pad(values, len(coords)), coords)
 
 
 def _lift(spec, n=64, L=3.0, n_v=16):
@@ -258,7 +267,7 @@ class TestKernelProperties:
                                           max_size=12)))
         rows = np.broadcast_to(rho, (n_v, rho.size)) / vg.dv
         assert np.array_equal(_single_cell_maxwellian(rows, *_cell_shifts(vg)),
-                              maxwellian_cell_average(rho, vg).T)
+                              clip_lift(rho, vg).T)
 
 
 # (a, b) pairs at the edges of the no-clamp proof in _monotone_1d, and the
@@ -316,9 +325,10 @@ class TestUnclampedLerp:
         assert out == b and min(0.0, b) <= out <= max(0.0, b)
 
     def test_negative_lift_step_is_the_clamped_step(self):
-        """One relaxed step from the lift of a sign-changing density equals,
-        byte for byte, the step with the old clamped lerp, though the two
-        transports differ: the clamp made -0.0 of the lerp's +0.0."""
+        """One relaxed step from the clip_lift of a sign-changing density,
+        which holds -0.0, equals, byte for byte, the step with the old
+        clamped lerp, though the two transports differ: the clamp made -0.0
+        of the lerp's +0.0."""
         spec = burgers_const_1d(random_bv_data(3, pieces=7, amplitude=1.0, floor=-0.5), c=1.0)
         cfg = BGKConfig(epsilon=0.02, dt=0.01, horizon=0.01, half_width=3.0, n=128, n_v=16,
                         snapshot_stride=1)
@@ -328,7 +338,7 @@ class TestUnclampedLerp:
         grid, vg, n = traj.sgrid, traj.vgrid, cfg.n
         rho0 = spec.initial_field(grid).values
         assert rho0.min() < 0 < rho0.max()
-        lift = maxwellian_cell_average(rho0, vg)
+        lift = clip_lift(rho0, vg)
         fp = np.asarray(spec.f_prime(vg.centers()), dtype=float)
         b_x = spec.b_on_grid(grid)[:, 0]
         x0 = -grid.half_width + 0.5 * grid.h
@@ -387,6 +397,19 @@ class TestRelax:
         # density conserved: integral of u dv stays 0.5 rho
         back = density_from_kinetic(out)
         assert np.allclose(back.values, 0.5 * rho0.values, rtol=1e-13, atol=1e-15)
+
+    def test_frozen_density_beyond_the_velocity_bound_raises(self):
+        # every v-cell at 1 gives density 2N; bounds of (-2N, 2N) leave it there,
+        # where the lift would have to clip it and lose mass
+        grid = SpatialGrid(dim=1, half_width=1.0, n=8)
+        vg = VelocityGrid(bound=1.0, n_v=8)
+        u = KineticField(grid, vg, np.ones(grid.shape + (vg.n_v,)))
+        with pytest.raises(RangeViolationError, match="exceeds velocity bound"):
+            relax_substep(u, 0.02, 0.01, (-2 * vg.bound, 2 * vg.bound))
+        out = relax_substep(u, 0.02, 0.01)  # the default bounds clip it to N
+        m = maxwellian_cell_average(vg.bound, vg)
+        assert np.array_equal(out.values, np.broadcast_to(m + math.exp(-0.5) * (1.0 - m),
+                                                          out.values.shape))
 
     def test_density_conservation_tight(self):
         rng = np.random.default_rng(8)
@@ -540,14 +563,20 @@ class TestRun:
         assert traj.final_u.values.shape[-1] == cfg.n_v
 
     def test_run_of_no_steps_returns_the_lift(self):
-        # a negative bump's lift holds -0.0 outside [rho, 0]
-        spec = burgers_tanh_1d(bump_data(0.2, 1.0, -0.7), 2.0)
+        # the lift is +0.0 on every v-cell outside the live ones: outside
+        # [rho, 0] for a negative bump, where clip_lift holds -0.0, and next
+        # to v = 0 for a state of -0.0
         cfg = BGKConfig(epsilon=0.02, dt=0.01, horizon=0.004, half_width=3.0, n=32, n_v=8,
                         v_bound=2.0)
-        traj = run_simulation(spec, cfg, sample_path(1, cfg.dt, cfg.dt, dim=1))
-        lift = maxwellian_cell_average(traj.rho[0], traj.vgrid)
-        assert cfg.n_steps == 0 and np.any(np.signbit(lift) & (lift == 0.0))
-        assert traj.final_u.values.tobytes() == lift.tobytes()
+        assert cfg.n_steps == 0
+        for data in (bump_data(0.2, 1.0, -0.7), riemann_data(-0.0, 0.5, 0.0)):
+            spec = burgers_tanh_1d(data, 2.0)
+            traj = run_simulation(spec, cfg, sample_path(1, cfg.dt, cfg.dt, dim=1))
+            assert np.any(np.signbit(traj.rho[0]))
+            lift = maxwellian_cell_average(traj.rho[0], traj.vgrid)
+            assert traj.final_u.values.tobytes() == lift.tobytes()
+            for values in (traj.final_u.values, lift):
+                assert not np.any(np.signbit(values) & (values == 0.0))
 
     def test_zero_data_with_a_non_finite_increment_aborts(self):
         spec = burgers_const_1d(lambda g: np.zeros(g.shape), c=1.0)

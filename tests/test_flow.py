@@ -1,13 +1,24 @@
-"""Stochastic characteristics: forward/inverse flows and the Jacobian."""
+"""Stochastic characteristics: the inverse flow against a forward
+Euler-Maruyama reference."""
 
 import numpy as np
 import pytest
 
 from stochbgk.brownian import sample_path
 from stochbgk.errors import ConfigurationError
-from stochbgk.flow import FlowQuery, flow_forward, flow_inverse, jacobian_determinant
+from stochbgk.flow import FlowQuery, flow_inverse
 from stochbgk.problem import (ProblemSpec, burgers_flux, constant_field,
                               linear_flux, make_spec)
+
+
+def flow_forward(q, path, spec):
+    """Euler-Maruyama X(start, end, x): drift at the left endpoint."""
+    k0, k1 = path.node_index(q.start), path.node_index(q.end)
+    fp = float(spec.f_prime(q.velocity))
+    x = np.array(q.point, dtype=float).reshape(-1, path.dim)
+    for k in range(k0, k1):
+        x += path.dt * fp * np.asarray(spec.b(x)) + path.increments[k]
+    return x
 
 
 def _spec_1d(field, flux=None):
@@ -102,26 +113,3 @@ def test_direction_validation():
     with pytest.raises(ConfigurationError):
         FlowQuery(0.9, 0.1, np.array([0.0]), 1.0)
 
-
-class TestJacobian:
-    def test_divergence_free_is_exactly_one(self):
-        spec = _spec_1d(constant_field([3.0]))
-        path = sample_path(4, 1e-3, 1.0, dim=1)
-        out = jacobian_determinant(FlowQuery(0.0, 1.0, np.array([0.2]), 1.0),
-                                   path, spec)
-        assert np.all(out == 1.0)
-
-    def test_zero_velocity_is_exactly_one(self):
-        spec = _spec_1d(_sin_field(), flux=burgers_flux())
-        path = sample_path(4, 1e-3, 1.0, dim=1)
-        out = jacobian_determinant(FlowQuery(0.0, 1.0, np.array([0.2]), 0.0),
-                                   path, spec)
-        assert np.all(out == 1.0)
-
-    def test_linear_field_exponential(self):
-        # b(x) = x has div b = 1: Jacobian e^(t-s) regardless of noise
-        spec = _spec_1d(((lambda x: x), (lambda x: np.ones(x.shape[:-1])), 1.0))
-        path = sample_path(4, 1e-3, 1.0, dim=1)
-        out = jacobian_determinant(FlowQuery(0.2, 0.9, np.array([0.4]), 1.0),
-                                   path, spec)
-        assert out == pytest.approx(np.exp(0.7), rel=0.01)
