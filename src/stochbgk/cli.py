@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -97,10 +98,33 @@ def cmd_convergence(cfg, seed, out) -> int:
 
 
 def cmd_counterexample(cfg, seed, out) -> int:
+    """Closed-form BV ladders of the cusp and smooth data, and the BV of the
+    cusp flow under transport noise.
+
+    Both halves run on one pool of ``monte_carlo.workers`` threads: the
+    ladder is the first task, then every (resolution, path) solve.  The
+    first failed task cancels the tasks not yet started.  Rows are written
+    in a fixed order, so output bytes do not depend on the worker count.
+    """
     params = build_counterexample_params(cfg)
     t = params.t
-    ladders = bv_growth_experiment((cusp_data(), smooth_control_data()), t,
-                                   params.resolutions)
+    with ThreadPoolExecutor(max_workers=params.workers) as pool:
+        ladder = pool.submit(bv_growth_experiment, (cusp_data(), smooth_control_data()), t,
+                             params.resolutions)
+
+        def stop_on_error(fut):
+            if fut.exception() is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+
+        ladder.add_done_callback(stop_on_error)
+        try:
+            stochastic = stochastic_counterpart(cusp_data(), t, params.stochastic_resolutions,
+                                                params.paths, seed, n_v=params.n_v, pool=pool)
+        except Exception:
+            ladder.result()  # a failed ladder stopped the pool: raise its error
+            raise
+        ladders = ladder.result()
+
     labels = [label for label in ("cusp", "smooth") for _ in params.resolutions]
     rows = []
     for label, (n, h, bv_t, bv_0) in zip(labels, ladders):
@@ -111,9 +135,7 @@ def cmd_counterexample(cfg, seed, out) -> int:
 
     srows = []
     if params.stochastic_resolutions:
-        for n, h, mean_bv, std_bv, m in stochastic_counterpart(
-                cusp_data(), t, params.stochastic_resolutions, params.paths, seed,
-                n_v=params.n_v, workers=params.workers):
+        for n, h, mean_bv, std_bv, m in stochastic:
             srows.append(("stochastic", n, h, t, mean_bv, std_bv, m))
             print(f"stochastic n={n:5d} mean BV={mean_bv:.5f} std={std_bv:.5f} M={m}")
         files.append(os.path.join(out, "stochastic_bv.csv"))

@@ -24,6 +24,7 @@ For the cusp data the flow raises the total variation from 16/3 to about
 
 from __future__ import annotations
 
+from concurrent.futures import FIRST_EXCEPTION, wait
 from dataclasses import dataclass
 from typing import Callable
 
@@ -246,40 +247,67 @@ def cusp_flow_spec(data: CounterexampleData) -> ProblemSpec:
 
 def stochastic_counterpart(data: CounterexampleData, t, resolutions,
                            n_paths: int, master_seed: int,
-                           n_v: int = 8, zeroed: bool = False, workers: int = 1):
+                           n_v: int = 8, zeroed: bool = False, pool=None):
     """BGK runs of the same field under transport noise, per resolution.
 
     Each run takes one step per cell width, dt ~ h.  Returns rows
-    (n, h, mean BV at time t over paths, std, n_paths).
-    ``zeroed`` replaces every path's increments by zeros (deterministic
-    consistency control).  Aggregation is ordered by path index, so results
-    do not depend on scheduling.
-    """
-    from concurrent.futures import ThreadPoolExecutor
+    (n, h, mean BV at time t over paths, std, n_paths), one per resolution
+    in the given order.  ``zeroed`` replaces every path's increments by
+    zeros (deterministic consistency control).
 
+    With a ``concurrent.futures`` executor as ``pool``, every
+    (resolution, path) solve is submitted to it at once, finest resolution
+    first; without one they run serially on the calling thread.  Each
+    resolution's BVs are aggregated in path-index order, so results do not
+    depend on scheduling.  The first failed solve cancels the solves that
+    have not started, and its exception is raised.
+    """
     from .bgk import BGKConfig, run_simulation
     from .brownian import sample_path
 
     spec = cusp_flow_spec(data)
-    rows = []
+    configs = {}
     for n in resolutions:
         n = int(n)
-        grid_h = 2.0 * data.radius / n
-        n_steps = max(1, int(round(t / grid_h)))
+        n_steps = max(1, int(round(t / (2.0 * data.radius / n))))
         dt = t / n_steps
-        config = BGKConfig(
+        configs[n] = BGKConfig(
             epsilon=2.0 * dt, dt=dt, horizon=t, half_width=data.radius,
             n=n, n_v=n_v, snapshot_stride=max(1, n_steps),
         )
 
-        def one(k):
-            path = sample_path(master_seed, dt, t, dim=2, path_index=k)
-            if zeroed:
-                path = path.zeroed()
-            traj = run_simulation(spec, config, path)
-            return discrete_bv(traj.final())
+    def one(n, k):
+        path = sample_path(master_seed, configs[n].dt, t, dim=2, path_index=k)
+        if zeroed:
+            path = path.zeroed()
+        traj = run_simulation(spec, configs[n], path)
+        return discrete_bv(traj.final())
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            bvs = np.asarray(list(pool.map(one, range(n_paths))))
-        rows.append((n, grid_h, float(bvs.mean()), float(bvs.std()), n_paths))
+    tasks = [(n, k) for n in sorted(configs, reverse=True) for k in range(n_paths)]
+    if pool is None:
+        bvs = {task: one(*task) for task in tasks}
+    else:
+        bvs = _gather(pool, one, tasks)
+    rows = []
+    for n in resolutions:
+        n = int(n)
+        per_path = np.asarray([bvs[n, k] for k in range(n_paths)])
+        rows.append((n, 2.0 * data.radius / n, float(per_path.mean()),
+                     float(per_path.std()), n_paths))
     return rows
+
+
+def _gather(pool, fn, tasks):
+    """{task: fn(*task)} computed on ``pool``; stops at the first failure."""
+    futures = {}
+    try:
+        for task in tasks:
+            futures[task] = pool.submit(fn, *task)
+        wait(futures.values(), return_when=FIRST_EXCEPTION)
+    finally:
+        for fut in futures.values():
+            fut.cancel()  # no-op once a task has started: all have, unless one failed
+    for fut in futures.values():
+        if not fut.cancelled() and fut.exception() is not None:
+            raise fut.exception()
+    return {task: fut.result() for task, fut in futures.items()}

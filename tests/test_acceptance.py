@@ -9,6 +9,7 @@ gives, including the definite BV increase the flow produces by t = 1.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -277,9 +278,10 @@ def test_criterion_07b_smooth_control_flat():
 
 
 def test_criterion_07c_stochastic_bv_bounded():
-    rows = stochastic_counterpart(cusp_data(), 1.0, [64, 128, 256],
-                                  n_paths=64, master_seed=GOLDEN_SEED,
-                                  n_v=8, workers=4)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        rows = stochastic_counterpart(cusp_data(), 1.0, [64, 128, 256],
+                                      n_paths=64, master_seed=GOLDEN_SEED,
+                                      n_v=8, pool=pool)
     means = [r[2] for r in rows]
     variation = abs(means[-1] - means[-2]) / means[-2]
     ok = variation <= 0.15

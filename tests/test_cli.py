@@ -602,6 +602,84 @@ class TestCounterexampleCommand:
             outs.append([_read_bytes(out / f) for f in files])
         assert outs[0] == outs[1]
 
+    def test_shared_pool_schedule_does_not_change_bytes(self, tmp_path, capsys):
+        # the ladder and every path share one pool; rows keep their order
+        base = {
+            "experiment": "counterexample",
+            "counterexample": {"t": 0.5, "resolutions": [32, 64],
+                               "stochastic_resolutions": [32, 48],
+                               "paths": 3, "n_v": 8},
+            "monte_carlo": {"master_seed": 3, "workers": 1},
+        }
+        files = ("deterministic_bv.csv", "stochastic_bv.csv", "figure_bv.csv")
+        outs = []
+        for w in (1, 2, 3):
+            cfg = json.loads(json.dumps(base))
+            cfg["monte_carlo"]["workers"] = w
+            out = tmp_path / f"w{w}"
+            assert main(["counterexample", "--config",
+                         _write(tmp_path, cfg, f"w{w}.json"),
+                         "--out", str(out)]) == 0
+            outs.append([_read_bytes(out / f) for f in files]
+                        + [capsys.readouterr().out.encode()])
+        assert outs[0] == outs[1] == outs[2]
+        assert [line.split()[0] for line in outs[0][-1].decode().splitlines()] == [
+            "cusp", "cusp", "smooth", "smooth", "stochastic", "stochastic"]
+
+    @staticmethod
+    def _aborting_solves(monkeypatch):
+        """Replace the engine by a 0.1 s solve that aborts; returns its calls."""
+        import time
+
+        from stochbgk import bgk
+        from stochbgk.errors import NumericalAbortError
+
+        calls = []
+
+        def solve(*args, **kwargs):
+            calls.append(args[1].n)
+            time.sleep(0.1)
+            raise NumericalAbortError("non-finite reach")
+
+        monkeypatch.setattr(bgk, "run_simulation", solve)
+        return calls
+
+    _FAILING_CFG = {
+        "experiment": "counterexample",
+        "counterexample": {"t": 0.5, "resolutions": [32],
+                           "stochastic_resolutions": [32, 48],
+                           "paths": 4, "n_v": 8},
+        "monte_carlo": {"master_seed": 3, "workers": 2},
+    }
+
+    def test_ladder_error_exits_2_and_cancels_the_paths(self, tmp_path, capsys,
+                                                        monkeypatch):
+        def ladder(*args):
+            raise ConfigurationError("ladder rejected its input")
+
+        monkeypatch.setattr(cli, "bv_growth_experiment", ladder)
+        calls = self._aborting_solves(monkeypatch)
+        out = tmp_path / "c"
+        rc = main(["counterexample", "--config", _write(tmp_path, self._FAILING_CFG),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "ladder rejected its input" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        assert len(calls) < 8
+
+    def test_path_abort_exits_3_and_cancels_the_rest(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(cli, "bv_growth_experiment", lambda *args: [])
+        calls = self._aborting_solves(monkeypatch)
+        out = tmp_path / "c"
+        rc = main(["counterexample", "--config", _write(tmp_path, self._FAILING_CFG),
+                   "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("numerical abort: non-finite reach")
+        assert not (out / "manifest.json").exists()
+        assert calls[0] == 48  # finest resolution first
+        assert len(calls) < 8
+
 
 class TestConvergenceCommand:
     def test_rate_table(self, tmp_path):

@@ -257,6 +257,16 @@ class TestStochasticCounterpart:
         assert np.all(bg[..., 0] == 0.0)
         assert float(np.max(np.abs(bg))) <= 0.5 + 1e-12
 
+    def test_pool_gives_the_serial_rows_in_the_given_order(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        args = (cusp_data(), 0.5, [32, 48], 3, 5)
+        serial = stochastic_counterpart(*args)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            pooled = stochastic_counterpart(*args, pool=pool)
+        assert [r[0] for r in pooled] == [32, 48]
+        assert repr(pooled) == repr(serial)
+
     def test_mean_shifts_within_clt_on_doubling(self):
         data = cusp_data()
         a = stochastic_counterpart(data, 0.5, [48], n_paths=8, master_seed=5)
