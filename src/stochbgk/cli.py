@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -106,23 +105,16 @@ def cmd_counterexample(cfg, seed, out) -> int:
     first failed task cancels the tasks not yet started.  Rows are written
     in a fixed order, so output bytes do not depend on the worker count.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     params = build_counterexample_params(cfg)
     t = params.t
     with ThreadPoolExecutor(max_workers=params.workers) as pool:
         ladder = pool.submit(bv_growth_experiment, (cusp_data(), smooth_control_data()), t,
                              params.resolutions)
-
-        def stop_on_error(fut):
-            if fut.exception() is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-        ladder.add_done_callback(stop_on_error)
-        try:
-            stochastic = stochastic_counterpart(cusp_data(), t, params.stochastic_resolutions,
-                                                params.paths, seed, n_v=params.n_v, pool=pool)
-        except Exception:
-            ladder.result()  # a failed ladder stopped the pool: raise its error
-            raise
+        stochastic = stochastic_counterpart(cusp_data(), t, params.stochastic_resolutions,
+                                            params.paths, seed, n_v=params.n_v, pool=pool,
+                                            watch=(ladder,))
         ladders = ladder.result()
 
     labels = [label for label in ("cusp", "smooth") for _ in params.resolutions]

@@ -24,7 +24,6 @@ For the cusp data the flow raises the total variation from 16/3 to about
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_EXCEPTION, wait
 from dataclasses import dataclass
 from typing import Callable
 
@@ -247,7 +246,7 @@ def cusp_flow_spec(data: CounterexampleData) -> ProblemSpec:
 
 def stochastic_counterpart(data: CounterexampleData, t, resolutions,
                            n_paths: int, master_seed: int,
-                           n_v: int = 8, zeroed: bool = False, pool=None):
+                           n_v: int = 8, zeroed: bool = False, pool=None, watch=()):
     """BGK runs of the same field under transport noise, per resolution.
 
     Each run takes one step per cell width, dt ~ h.  Returns rows
@@ -259,8 +258,10 @@ def stochastic_counterpart(data: CounterexampleData, t, resolutions,
     (resolution, path) solve is submitted to it at once, finest resolution
     first; without one they run serially on the calling thread.  Each
     resolution's BVs are aggregated in path-index order, so results do not
-    depend on scheduling.  The first failed solve cancels the solves that
-    have not started, and its exception is raised.
+    depend on scheduling.  ``watch`` holds futures already on ``pool``
+    (the command's ladder) whose failure stops the run too.  The first
+    failed task cancels the solves that have not started, and its exception
+    is raised.
     """
     from .bgk import BGKConfig, run_simulation
     from .brownian import sample_path
@@ -269,45 +270,54 @@ def stochastic_counterpart(data: CounterexampleData, t, resolutions,
     configs = {}
     for n in resolutions:
         n = int(n)
-        n_steps = max(1, int(round(t / (2.0 * data.radius / n))))
+        h = 2.0 * data.radius / n
+        n_steps = max(1, int(round(t / h)))
         dt = t / n_steps
-        configs[n] = BGKConfig(
+        configs[n] = (h, BGKConfig(
             epsilon=2.0 * dt, dt=dt, horizon=t, half_width=data.radius,
             n=n, n_v=n_v, snapshot_stride=max(1, n_steps),
-        )
+        ))
 
     def one(n, k):
-        path = sample_path(master_seed, configs[n].dt, t, dim=2, path_index=k)
+        config = configs[n][1]
+        path = sample_path(master_seed, config.dt, t, dim=2, path_index=k)
         if zeroed:
             path = path.zeroed()
-        traj = run_simulation(spec, configs[n], path)
+        traj = run_simulation(spec, config, path)
         return discrete_bv(traj.final())
 
     tasks = [(n, k) for n in sorted(configs, reverse=True) for k in range(n_paths)]
     if pool is None:
         bvs = {task: one(*task) for task in tasks}
     else:
-        bvs = _gather(pool, one, tasks)
+        bvs = _gather(pool, one, tasks, watch)
     rows = []
     for n in resolutions:
         n = int(n)
         per_path = np.asarray([bvs[n, k] for k in range(n_paths)])
-        rows.append((n, 2.0 * data.radius / n, float(per_path.mean()),
+        rows.append((n, configs[n][0], float(per_path.mean()),
                      float(per_path.std()), n_paths))
     return rows
 
 
-def _gather(pool, fn, tasks):
-    """{task: fn(*task)} computed on ``pool``; stops at the first failure."""
+def _gather(pool, fn, tasks, watch=()):
+    """{task: fn(*task)} computed on ``pool``.
+
+    One wait covers these tasks and the ``watch`` futures; at the first
+    failure among them the tasks not yet started are cancelled and that
+    failure is raised.
+    """
+    from concurrent.futures import FIRST_EXCEPTION, wait
+
     futures = {}
     try:
         for task in tasks:
             futures[task] = pool.submit(fn, *task)
-        wait(futures.values(), return_when=FIRST_EXCEPTION)
+        wait([*watch, *futures.values()], return_when=FIRST_EXCEPTION)
     finally:
         for fut in futures.values():
             fut.cancel()  # no-op once a task has started: all have, unless one failed
-    for fut in futures.values():
-        if not fut.cancelled() and fut.exception() is not None:
+    for fut in [*watch, *futures.values()]:
+        if fut.done() and not fut.cancelled() and fut.exception() is not None:
             raise fut.exception()
     return {task: fut.result() for task, fut in futures.items()}

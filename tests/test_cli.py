@@ -667,6 +667,42 @@ class TestCounterexampleCommand:
         assert not (out / "manifest.json").exists()
         assert len(calls) < 8
 
+    def test_late_ladder_error_with_one_worker_exits_2(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # the ladder holds the only worker and fails after the paths are queued
+        import threading
+        import time
+
+        from stochbgk import bgk
+
+        def ladder(*args):
+            time.sleep(0.1)
+            raise ConfigurationError("ladder rejected its input")
+
+        calls = []
+        solve = bgk.run_simulation
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].n)
+            time.sleep(0.2)  # the rest stay queued until the command cancels them
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "bv_growth_experiment", ladder)
+        monkeypatch.setattr(bgk, "run_simulation", counted)
+        cfg = json.loads(json.dumps(self._FAILING_CFG))
+        cfg["monte_carlo"]["workers"] = 1
+        out = tmp_path / "c"
+        argv = ["counterexample", "--config", _write(tmp_path, cfg), "--out", str(out)]
+        result = []
+        runner = threading.Thread(target=lambda: result.append(main(argv)), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "counterexample hung after the ladder failed"
+        assert result == [2]
+        assert "ladder rejected its input" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        assert len(calls) <= 1  # at most the path dequeued as the ladder failed
+
     def test_path_abort_exits_3_and_cancels_the_rest(self, tmp_path, capsys,
                                                      monkeypatch):
         monkeypatch.setattr(cli, "bv_growth_experiment", lambda *args: [])
