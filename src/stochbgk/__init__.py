@@ -14,7 +14,6 @@ from .errors import (ConfigurationError, GridMismatchError, NumericalAbortError,
 from .fields import (DensityField, KineticField, density_from_kinetic,
                      discrete_bv, entropy_pair, kinetic_l1, lift_density,
                      lp_norm, maxwellian_cell_average)
-from .flow import FlowQuery, flow_inverse
 from .grids import SpatialGrid, VelocityGrid
 from .problem import ProblemSpec
 

@@ -72,11 +72,6 @@ class TemporalRamp:
         up = np.clip((self.t_end - t) / self.ramp, 0.0, 1.0)
         return up
 
-    def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        on = (t > self.t_end - self.ramp) & (t < self.t_end)
-        return np.where(on, -1.0 / self.ramp, 0.0)
-
 
 @dataclass(frozen=True)
 class VelocityCutoff:
@@ -387,9 +382,9 @@ def check_comparison(traj_lo, traj_hi) -> CheckResult:
     min(rho_hi - rho_lo) >= -1e-10."""
     if not np.array_equal(traj_lo.path.increments, traj_hi.path.increments):
         raise ConfigurationError("comparison runs must share the Brownian path")
-    if not traj_lo.sgrid.compatible(traj_hi.sgrid):
+    if traj_lo.sgrid != traj_hi.sgrid:
         raise ConfigurationError("comparison runs must share the spatial grid")
-    if not traj_lo.vgrid.compatible(traj_hi.vgrid):
+    if traj_lo.vgrid != traj_hi.vgrid:
         raise ConfigurationError("comparison runs must share the velocity grid")
     if np.any(traj_lo.rho[0] > traj_hi.rho[0]):
         raise ConfigurationError("initial data are not ordered")

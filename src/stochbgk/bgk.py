@@ -120,7 +120,6 @@ class Trajectory:
     final_u: KineticField
     path: BrownianPath
     spec: ProblemSpec
-    config: BGKConfig
     picard_ratios: Optional[list] = None
     picard_bound: Optional[float] = None
     picard_residuals: Optional[list] = None  # per window, per iteration
@@ -355,8 +354,8 @@ def accumulate_defect(u_before_relax: KineticField, u_after_relax: KineticField,
     are the slab mass of m.  Entries below -1e-8 raise (solver bug); smaller
     negatives are roundoff and are clamped to zero.
     """
-    if not (u_before_relax.sgrid.compatible(u_after_relax.sgrid)
-            and u_before_relax.vgrid.compatible(u_after_relax.vgrid)):
+    if (u_before_relax.sgrid != u_after_relax.sgrid
+            or u_before_relax.vgrid != u_after_relax.vgrid):
         raise ConfigurationError("defect fields live on different grids")
     return _defect_prefix(u_before_relax.values, u_after_relax.values,
                           u_before_relax.vgrid.dv)[0]
@@ -610,7 +609,6 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
         final_u=KineticField(eng.sgrid, eng.vgrid, _widen(u, rows, n_v)),
         path=path,
         spec=spec,
-        config=config,
     )
 
 
@@ -853,7 +851,7 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
     return Trajectory(
         sgrid=eng.sgrid, vgrid=eng.vgrid, times=times, rho=snaps,
         u_l1=u_l1, slab_times=[], slab_mass=[], min_entry=0.0, final_u=final_u, path=path, spec=spec,
-        config=config, picard_ratios=ratios, picard_bound=bound,
+        picard_ratios=ratios, picard_bound=bound,
         picard_residuals=residuals,
     )
 
@@ -874,8 +872,6 @@ def epsilon_continuation(spec: ProblemSpec, config: BGKConfig,
     kinetic_dist = []
     finals = []
     for eps in eps_list:
-        if eps < config.dt:
-            warnings.warn(f"epsilon {eps} below dt {config.dt}", stacklevel=2)
         traj = run_simulation(spec, replace(config, epsilon=eps), path)
         u = traj.final_u
         chi = maxwellian_cell_average(traj.final().values, u.vgrid)

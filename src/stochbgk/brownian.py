@@ -27,7 +27,6 @@ class BrownianPath:
     dt: float
     horizon: float
     increments: np.ndarray
-    seed: int
 
     def __post_init__(self):
         self.increments = np.asarray(self.increments, dtype=float)
@@ -68,14 +67,7 @@ class BrownianPath:
     def zeroed(self) -> "BrownianPath":
         """Same time grid with all increments zeroed (deterministic dynamics)."""
         return BrownianPath(self.dim, self.dt, self.horizon,
-                            np.zeros_like(self.increments), self.seed)
-
-
-def path_seed_generator(master_seed: int, path_index: int) -> np.random.Generator:
-    """Counter-based stream: block counter offset by path_index * 2^128."""
-    bg = np.random.Philox(key=master_seed & (2**64 - 1),
-                          counter=[0, 0, path_index, 0])
-    return np.random.Generator(bg)
+                            np.zeros_like(self.increments))
 
 
 def sample_path(seed: int, dt: float, horizon: float, dim: int = 1,
@@ -88,9 +80,11 @@ def sample_path(seed: int, dt: float, horizon: float, dim: int = 1,
     if dim < 1:
         raise ConfigurationError(f"dim must be >= 1, got {dim}")
     n = int(round(horizon / dt))
-    rng = path_seed_generator(seed, path_index)
+    # counter-based stream: block counter offset by path_index * 2^128
+    rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1),
+                                               counter=[0, 0, path_index, 0]))
     inc = rng.normal(0.0, math.sqrt(dt), size=(n, dim))
-    return BrownianPath(dim=dim, dt=dt, horizon=n * dt, increments=inc, seed=seed)
+    return BrownianPath(dim=dim, dt=dt, horizon=n * dt, increments=inc)
 
 
 def sample_paths(seed: int, dt: float, horizon: float, dim: int, count: int):

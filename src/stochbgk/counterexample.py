@@ -246,7 +246,7 @@ def cusp_flow_spec(data: CounterexampleData) -> ProblemSpec:
 
 def stochastic_counterpart(data: CounterexampleData, t, resolutions,
                            n_paths: int, master_seed: int,
-                           n_v: int = 8, zeroed: bool = False, pool=None, watch=()):
+                           n_v: int = 8, zeroed: bool = False, *, pool, watch=()):
     """BGK runs of the same field under transport noise, per resolution.
 
     Each run takes one step per cell width, dt ~ h.  Returns rows
@@ -254,9 +254,8 @@ def stochastic_counterpart(data: CounterexampleData, t, resolutions,
     in the given order.  ``zeroed`` replaces every path's increments by
     zeros (deterministic consistency control).
 
-    With a ``concurrent.futures`` executor as ``pool``, every
-    (resolution, path) solve is submitted to it at once, finest resolution
-    first; without one they run serially on the calling thread.  Each
+    Every (resolution, path) solve is submitted at once to ``pool``, a
+    ``concurrent.futures`` executor, finest resolution first.  Each
     resolution's BVs are aggregated in path-index order, so results do not
     depend on scheduling.  ``watch`` holds futures already on ``pool``
     (the command's ladder) whose failure stops the run too.  The first
@@ -287,10 +286,7 @@ def stochastic_counterpart(data: CounterexampleData, t, resolutions,
         return discrete_bv(traj.final())
 
     tasks = [(n, k) for n in sorted(configs, reverse=True) for k in range(n_paths)]
-    if pool is None:
-        bvs = {task: one(*task) for task in tasks}
-    else:
-        bvs = _gather(pool, one, tasks, watch)
+    bvs = _gather(pool, one, tasks, watch)
     rows = []
     for n in resolutions:
         n = int(n)

@@ -55,13 +55,6 @@ class SpatialGrid:
         axes = np.meshgrid(*[self.axis_centers()] * self.dim, indexing="ij")
         return np.stack(axes, axis=-1)
 
-    def compatible(self, other: "SpatialGrid") -> bool:
-        return (
-            self.dim == other.dim
-            and self.n == other.n
-            and self.half_width == other.half_width
-        )
-
 
 @dataclass(frozen=True)
 class VelocityGrid:
@@ -105,6 +98,3 @@ class VelocityGrid:
     def positive_cells(self) -> np.ndarray:
         """Boolean mask of cells contained in (0, N]."""
         return np.arange(self.n_v) >= self.n_v // 2
-
-    def compatible(self, other: "VelocityGrid") -> bool:
-        return self.n_v == other.n_v and self.dv == other.dv

@@ -13,7 +13,6 @@ import numpy as np
 from .brownian import BrownianPath
 from .errors import ConfigurationError
 from .fields import DensityField
-from .flow import FlowQuery, flow_inverse
 from .grids import SpatialGrid
 from .problem import ProblemSpec
 
@@ -128,6 +127,25 @@ def shift_reduction_oracle(flux, rho0: DensityField, path: BrownianPath,
     return out_times, out
 
 
+def inverse_characteristics(points, t: float, path: BrownianPath,
+                            spec: ProblemSpec) -> np.ndarray:
+    """Feet X_{t,0}(x) of the characteristics dX = b(X) dt + dB through
+    ``points`` (shape (m, dim)) at time t.
+
+    The noise is additive, so Ito and Stratonovich integration coincide
+    pathwise and Y = X - B solves the random ODE dY/dtau = b(Y + B(tau)).
+    It is integrated from t down to 0 with the path's own increments, which
+    is exact for b = 0 and costs O(steps) per query; X_{t,0} = Y(0) since
+    B(0) = 0.
+    """
+    k = path.node_index(t)
+    nodes = path.values_at_nodes()
+    y = points - nodes[k]
+    for j in range(k, 0, -1):
+        y -= path.dt * np.asarray(spec.b(y + nodes[j]))
+    return y
+
+
 def linear_characteristics_oracle(spec: ProblemSpec, rho0: DensityField,
                                   path: BrownianPath, t: float) -> DensityField:
     """Transport solution rho(t, x) = rho0(X_{t,0}(x)) for linear flux f(r) = r.
@@ -141,8 +159,7 @@ def linear_characteristics_oracle(spec: ProblemSpec, rho0: DensityField,
         raise ConfigurationError("linear characteristics oracle needs f(r) = r")
     grid = rho0.grid
     pts = grid.centers().reshape(-1, grid.dim)
-    q = FlowQuery(start=0.0, end=t, point=pts, velocity=1.0)
-    feet = flow_inverse(q, path, spec)
+    feet = inverse_characteristics(pts, t, path, spec)
     if grid.dim == 1:
         vals = np.interp(feet[:, 0], grid.axis_centers(), rho0.values,
                          left=0.0, right=0.0)

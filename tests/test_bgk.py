@@ -583,7 +583,7 @@ class TestRun:
         dt = 0.01
         cfg = BGKConfig(epsilon=0.02, dt=dt, horizon=3 * dt, half_width=3.0, n=32, n_v=8)
         path = BrownianPath(dim=1, dt=dt, horizon=cfg.horizon,
-                            increments=[[0.0], [math.nan], [0.0]], seed=0)
+                            increments=[[0.0], [math.nan], [0.0]])
         with pytest.raises(NumericalAbortError) as err:
             run_simulation(spec, cfg, path)
         assert err.value.step == 2
@@ -647,7 +647,7 @@ class TestRun:
         dt = 0.01
         cfg = BGKConfig(epsilon=0.02, dt=dt, horizon=dt, half_width=2.0, n=grid.n,
                         n_v=n_v, v_bound=1.0)
-        path = BrownianPath(dim=1, dt=dt, horizon=dt, increments=[[dB]], seed=0)
+        path = BrownianPath(dim=1, dt=dt, horizon=dt, increments=[[dB]])
         out = run_simulation(spec, cfg, path).final_u
         check_kinetic_structure(out, tol=0.0)
         assert np.max(np.abs(density_from_kinetic(out).values)) <= np.max(np.abs(rho0))
@@ -726,8 +726,7 @@ class TestRun:
         for bad in (math.inf, math.nan):
             increments = sample_path(5, dt, cfg.horizon, dim=1).increments.copy()
             increments[1, 0] = bad
-            path = BrownianPath(dim=1, dt=dt, horizon=cfg.horizon, increments=increments,
-                                seed=5)
+            path = BrownianPath(dim=1, dt=dt, horizon=cfg.horizon, increments=increments)
             with np.errstate(invalid="ignore"), pytest.raises(NumericalAbortError) as err:
                 run_simulation(spec, cfg, path)
             assert err.value.step == 2
@@ -796,7 +795,7 @@ def _window_case(kind, data):
     cfg = BGKConfig(epsilon=2 * dt, dt=dt, horizon=steps * dt, half_width=2.0, n=n,
                     n_v=n_v, v_bound=v_bound, snapshot_stride=stride)
     return spec, cfg, BrownianPath(dim=1, dt=dt, horizon=cfg.horizon,
-                                   increments=increments, seed=0)
+                                   increments=increments)
 
 
 class TestSupportWindow:
@@ -906,8 +905,9 @@ class TestEpsilonContinuation:
         cfg = BGKConfig(epsilon=dt, dt=dt, horizon=0.05, half_width=3.0,
                         n=64, n_v=8)
         path = sample_path(9, dt, 0.05, dim=1)
-        with pytest.warns(UserWarning, match="below dt"):
+        with pytest.warns(UserWarning, match="exceeds epsilon") as record:
             epsilon_continuation(spec, cfg, path, [2 * dt, dt / 4])
+        assert len(record) == 1  # the level below dt warns once
 
 
 
@@ -1169,8 +1169,7 @@ class TestPicard:
             for bad in (math.inf, math.nan):
                 increments = sample_path(5, dt, cfg.horizon, dim=1).increments.copy()
                 increments[index, 0] = bad
-                path = BrownianPath(dim=1, dt=dt, horizon=cfg.horizon, increments=increments,
-                                    seed=5)
+                path = BrownianPath(dim=1, dt=dt, horizon=cfg.horizon, increments=increments)
                 with pytest.raises(NumericalAbortError) as err:
                     picard_solve(spec, cfg, path)
                 assert (err.value.step, err.value.time) == (step, step * dt)

@@ -729,10 +729,11 @@ class TestConvergenceCommand:
         assert summary[0] == "fitted_rate,finest_error"
 
 
-def test_import_loads_no_scipy():
+@pytest.mark.parametrize("module", ["stochbgk", "stochbgk.cli"])
+def test_import_loads_no_scipy(module):
     # SciPy is the slowest import of the package; only the counterexample
     # command needs it, and it imports it when it solves
-    code = ("import sys, stochbgk.cli; "
+    code = (f"import sys, {module}; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

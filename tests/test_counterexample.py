@@ -1,6 +1,7 @@
 """Closed-form 2D flow, its BV refinement ladders, and the noisy counterpart."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -243,8 +244,9 @@ class TestBVLadders:
 class TestStochasticCounterpart:
     def test_zeroed_path_consistent_with_closed_form(self):
         data = cusp_data()
-        rows = stochastic_counterpart(data, 0.5, [96], n_paths=1,
-                                      master_seed=5, n_v=8, zeroed=True)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            rows = stochastic_counterpart(data, 0.5, [96], n_paths=1, master_seed=5,
+                                          n_v=8, zeroed=True, pool=pool)
         closed = bv_growth_experiment(data, 0.5, [96])[0][2]
         assert rows[0][2] == pytest.approx(closed, rel=0.1)
 
@@ -258,10 +260,9 @@ class TestStochasticCounterpart:
         assert float(np.max(np.abs(bg))) <= 0.5 + 1e-12
 
     def test_pool_gives_the_serial_rows_in_the_given_order(self):
-        from concurrent.futures import ThreadPoolExecutor
-
         args = (cusp_data(), 0.5, [32, 48], 3, 5)
-        serial = stochastic_counterpart(*args)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            serial = stochastic_counterpart(*args, pool=pool)
         with ThreadPoolExecutor(max_workers=2) as pool:
             pooled = stochastic_counterpart(*args, pool=pool)
         assert [r[0] for r in pooled] == [32, 48]
@@ -269,8 +270,9 @@ class TestStochasticCounterpart:
 
     def test_mean_shifts_within_clt_on_doubling(self):
         data = cusp_data()
-        a = stochastic_counterpart(data, 0.5, [48], n_paths=8, master_seed=5)
-        b = stochastic_counterpart(data, 0.5, [48], n_paths=16, master_seed=5)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            a = stochastic_counterpart(data, 0.5, [48], n_paths=8, master_seed=5, pool=pool)
+            b = stochastic_counterpart(data, 0.5, [48], n_paths=16, master_seed=5, pool=pool)
         mean_a, std_a = a[0][2], a[0][3]
         mean_b = b[0][2]
         assert abs(mean_b - mean_a) <= 2.5 * std_a / math.sqrt(8)

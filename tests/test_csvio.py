@@ -77,6 +77,6 @@ def test_overflowing_path_is_a_configuration_error(dim, data):
         first = int(np.flatnonzero(~np.all(np.isfinite(np.cumsum(inc, axis=0)), axis=1))[0]) + 1
     match = f"B\\(t\\) at step {first} "
     with pytest.raises(ConfigurationError, match=match):
-        BrownianPath(dim, 0.125, len(inc) * 0.125, inc, seed=-1)
+        BrownianPath(dim, 0.125, len(inc) * 0.125, inc)
 
 

@@ -1,5 +1,7 @@
 """Reference solvers: Godunov, exact Riemann, shift reduction, characteristics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,9 @@ from stochbgk.oracles import (burgers_godunov_flux, exact_riemann_burgers,
                               kruzkov_cell_entropy_residuals,
                               linear_characteristics_oracle,
                               shift_reduction_oracle)
-from stochbgk.problem import (bump_data, linear_const_1d, plateau_data,
-                              riemann_data)
+from stochbgk.problem import (bump_data, constant_field, linear_const_1d,
+                              linear_flux, make_spec, plateau_data, riemann_data,
+                              shear_field_2d, tanh_field_1d)
 
 BURGERS = staticmethod(lambda r: 0.5 * r * r)
 
@@ -203,3 +206,37 @@ class TestLinearCharacteristics:
             errs.append(float(np.sum(np.abs(traj.final().values - oracle.values))
                               * traj.sgrid.h))
         assert errs[1] < errs[0]
+
+
+def _oracle_case(kind):
+    """(spec, rho0, path, t) of one pinned characteristics-oracle case."""
+    if kind == "cusp-2d":
+        from stochbgk.counterexample import cusp_data, cusp_flow_spec
+        data = cusp_data()
+        grid = SpatialGrid(dim=2, half_width=data.radius, n=64)
+        return cusp_flow_spec(data), data.sample(grid), sample_path(7, 1 / 64, 1.0, dim=2), 1.0
+    dim, n, field = {
+        "tanh-1d": (1, 256, tanh_field_1d(1.0, 0.5)),
+        "shear-2d": (2, 64, shear_field_2d(1.0, 0.7)),
+        "zero-1d": (1, 128, constant_field([0.0])),
+    }[kind]
+    spec = make_spec(dim, linear_flux(), field, bump_data(0.0, 1.0, 1.0))
+    grid = SpatialGrid(dim=dim, half_width=3.0, n=n)
+    return spec, spec.initial_field(grid), sample_path(7, 1e-3, 0.5, dim=dim), 0.5
+
+
+# sha256 of each case's output values: restructuring the inverse flow must
+# keep the oracle's bytes
+ORACLE_DIGESTS = {
+    "tanh-1d": "52fdfb2148c5519e6f002f7f336aaca2a220bfdd23d43a8f103fcdbecd117fd4",
+    "shear-2d": "67d1803cf7c6edfa9c961fc7e489b07d7001891a55d69fef9b8a5a1ba9db2819",
+    "zero-1d": "de0fb9a87682f6c84f09610557f2736f70016409a5c8367db4cb1b58100c4c34",
+    "cusp-2d": "4fa28ca9b303c69f8c15d3de3b481975c4fe7a57d587f798c4969356fa7cc624",
+}
+
+
+@pytest.mark.parametrize("kind", list(ORACLE_DIGESTS))
+def test_characteristics_oracle_bytes_are_pinned(kind):
+    out = linear_characteristics_oracle(*_oracle_case(kind))
+    digest = hashlib.sha256(np.asarray(out.values, dtype=float).tobytes()).hexdigest()
+    assert digest == ORACLE_DIGESTS[kind]
