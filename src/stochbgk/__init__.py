@@ -1,12 +1,12 @@
 """Numerical laboratory for scalar conservation laws with Brownian transport
 noise: a kinetic BGK solver, independent reference oracles, and audits of the
-solution properties (maximum principle, L1/BV bounds, defect structure,
-comparison, Holder regularity, commutator decay)."""
+solution properties (maximum principle, L1 growth, BV non-increase, defect
+structure, energy-defect identity, entropy residual)."""
 
 __version__ = "0.1.0"
 
-from .bgk import (BGKConfig, Trajectory, accumulate_defect, epsilon_continuation,
-                  picard_solve, relax_substep, run_simulation, transport_substep)
+from .bgk import (BGKConfig, Trajectory, accumulate_defect, picard_solve,
+                  relax_substep, run_simulation, transport_substep)
 from .brownian import (BrownianPath, levy_modulus_statistic, sample_path,
                        sample_paths)
 from .errors import (ConfigurationError, GridMismatchError, NumericalAbortError,

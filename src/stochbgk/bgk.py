@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -61,7 +61,9 @@ class BGKConfig:
     """Numerical parameters of one BGK run.
 
     ``dt`` must match the driving path's resolution.  ``epsilon`` is the
-    relaxation scale; dt <= epsilon is recommended (warning otherwise).
+    relaxation scale; dt <= epsilon is recommended (warning otherwise).  The
+    warning names the line that built the config; for a config built by
+    ``dataclasses.replace`` it names a line of ``dataclasses.py``.
     ``window`` is the fixed-point restart length T1 for Picard mode, where
     exp(T1 C0) (1 - exp(-T1/eps)) < 1 must hold.  A run records rho, ||u||_1
     and a defect slab mass every ``snapshot_stride`` steps, and only the final u.
@@ -90,7 +92,7 @@ class BGKConfig:
             warnings.warn(
                 f"dt = {self.dt} exceeds epsilon = {self.epsilon}; the splitting "
                 "remains stable but under-resolves the relaxation",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass-generated __init__
             )
 
     @property
@@ -310,7 +312,7 @@ def _relax(u_tilde: np.ndarray, rows: slice, vgrid: VelocityGrid, rho_bounds,
            alpha: float, cells: tuple):
     """(frozen density, relaxed values) of raw kinetic values u~ on the
     v-cells rows (v-axis last), whose tables cells are
-    _cell_shifts(vgrid, rows, axis=-1).
+    _cell_shifts(vgrid, rows).
 
     The density sums u~ widened with +0.0 to all n_v cells (np.sum's
     pairwise order depends on the length) and is clipped to rho_bounds.
@@ -340,7 +342,7 @@ def relax_substep(u_tilde: KineticField, epsilon: float, dt: float,
     if rho_bounds is None:
         rho_bounds = (-vg.bound, vg.bound)
     rho, new = _relax(u_tilde.values, slice(None), vg, rho_bounds, math.exp(-dt / epsilon),
-                      _cell_shifts(vg, axis=-1))
+                      _cell_shifts(vg))
     _check_density_bound(rho, vg)
     return KineticField(u_tilde.sgrid, vg, new)
 
@@ -546,7 +548,7 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
     n_v, dv = eng.vgrid.n_v, eng.vgrid.dv
     rows = _live_rows(eng.vgrid, eng.rho_bounds)
     above = (slice(rows.stop, None),)  # the v-cells above the live ones
-    cells = _cell_shifts(eng.vgrid, rows, axis=-1)
+    cells = _cell_shifts(eng.vgrid, rows)
     feet = _drift_feet(eng.sgrid, config.dt, eng.fp[rows], eng.b_grid)
     lift = maxwellian_cell_average(eng.rho0.values, eng.vgrid)
     buf = _pad(lift[..., rows], eng.sgrid.dim)
@@ -676,7 +678,7 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
 
     A sweep evaluates the pairs of one l at a time, l = sweep .. m_count - 1,
     in blocks of up to _PAIR_BLOCK consecutive m > l, with the bytes of one
-    pair at a time.  A block is one (m, live rows, columns) array: one
+    pair at a time.  A block is one (m, columns, live rows) array: one
     gather from the padded rho_l/dv, one lerp, one single-cell Maxwellian,
     one multiply by the slab weights and one add into the rows m of the
     sums, which thus take their terms in l order.  Its columns are the
@@ -724,7 +726,7 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
     bx = eng.b_grid[:, 0]
     rows = _live_rows(eng.vgrid, eng.rho_bounds)
     cells = _cell_shifts(eng.vgrid, rows)
-    fp = eng.fp[rows, None]
+    fp = eng.fp[rows]
     drift = float(eng.drift[0])
     full = _full_box(eng.sgrid)
 
@@ -744,11 +746,11 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
             raise NumericalAbortError(f"non-finite path at step {k} (t = {k * dt})",
                                       step=k, time=k * dt)
         # scaled inverse-flow feet s[l][m - l - 1] = (X^v_{t_m, t_l}(x_i) - x0)/h
-        # for 0 <= l < m on the live rows, shape (rows, nx); one array per l
-        s = [np.empty((m_count - l, fp.shape[0], n)) for l in range(m_count)]
+        # for 0 <= l < m on the live rows, shape (nx, rows); one array per l
+        s = [np.empty((m_count - l, n, fp.shape[0])) for l in range(m_count)]
         for m in range(1, m_count + 1):
             k_m = win_start + m
-            y = centers[None, :] - nodes[k_m, 0]
+            y = centers[:, None] - nodes[k_m, 0]
             for k in range(k_m, win_start, -1):
                 b_at = np.interp(y + nodes[k, 0], centers, bx, left=0.0, right=0.0)
                 y = y - dt * fp * b_at
@@ -764,25 +766,25 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
                    for l in range(m_count)]
         # the decayed initial state per m, rows 1..m_count
         u_start = _pad(u_final[:, rows], 1)
-        tails = np.zeros((m_count + 1, fp.shape[0], n))
+        tails = np.zeros((m_count + 1, n, fp.shape[0]))
         for m in range(1, m_count + 1):
-            tails[m] = math.exp(-m * dt / eps) * _monotone_1d(u_start, s[0][m - 1].T).T
+            tails[m] = math.exp(-m * dt / eps) * _monotone_1d(u_start, s[0][m - 1])
         rho_iter = np.repeat(rho_hist[win_start][None, :], m_count + 1, axis=0)
         rho_pad = np.zeros((m_count + 1, n + 4))  # rho_iter / dv, rows padded by _pad
         # partial[m]: the pair terms of row m whose l is already final, on the
         # live rows, summed left to right in l as the full sum would be
-        partial = np.zeros((m_count + 1, fp.shape[0], n))
+        partial = np.zeros((m_count + 1, n, fp.shape[0]))
         win_ratios, win_residuals = [], []
 
         def block(l, m0, m1):
             """(columns, terms) of the pairs (m, l), m0 <= m < m1, on the live
             rows: the columns whose feet can read a non-zero cell of rho_l,
-            and the terms there, (m1 - m0, rows, columns)."""
+            and the terms there, (m1 - m0, columns, rows)."""
             reach = max(abs(win_nodes[m] - win_nodes[l]) + (m - l) * drift
                         for m in range(m0, m1)) / h
             (cols,), _ = _window(support[l], (reach,), eng.sgrid)
             terms = _single_cell_maxwellian(
-                _monotone_1d(rho_pad[l], s[l][m0 - l - 1:m1 - l - 1, :, cols]), *cells)
+                _monotone_1d(rho_pad[l], s[l][m0 - l - 1:m1 - l - 1, cols]), *cells)
             terms *= weights[l][m0 - l - 1:m1 - l - 1]
             return cols, terms
 
@@ -800,13 +802,13 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
                 for m0 in range(l + 1, m_count + 1, _PAIR_BLOCK):
                     m1 = min(m0 + _PAIR_BLOCK, m_count + 1)
                     cols, terms = block(l, m0, m1)
-                    acc[m0:m1, :, cols] += terms
+                    acc[m0:m1, cols] += terms
                 if l == sweep:
                     acc = partial.copy()
             acc[sweep + 1:] += tails[sweep + 1:]
             for m in range(sweep + 1, m_count + 1):
                 u = np.zeros((eng.vgrid.n_v, n))
-                u[rows] = acc[m]
+                u[rows] = acc[m].T
                 u_m = u.T  # (nx, nv)
                 rho_new[m] = kinetic_density_values(u_m, dv)
                 np.clip(rho_new[m], eng.rho_bounds[0], eng.rho_bounds[1], out=rho_new[m])
@@ -854,38 +856,3 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
         picard_ratios=ratios, picard_bound=bound,
         picard_residuals=residuals,
     )
-
-
-# ---------------------------------------------------------------------------
-# epsilon continuation
-
-def epsilon_continuation(spec: ProblemSpec, config: BGKConfig,
-                         path: BrownianPath, eps_list) -> dict:
-    """Rerun the splitting solver over a decreasing relaxation ladder.
-
-    Reports the final-time kinetic distance ||u_eps - chi_{rho_eps}||_L1 and
-    the Cauchy differences ||rho_eps - rho_eps'||_L1 of consecutive levels.
-    """
-    eps_list = list(eps_list)
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ConfigurationError("eps_list must be strictly decreasing")
-    kinetic_dist = []
-    finals = []
-    for eps in eps_list:
-        traj = run_simulation(spec, replace(config, epsilon=eps), path)
-        u = traj.final_u
-        chi = maxwellian_cell_average(traj.final().values, u.vgrid)
-        dist = float(np.sum(np.abs(u.values - chi))) * traj.sgrid.cell_volume * u.vgrid.dv
-        kinetic_dist.append(dist)
-        finals.append(traj.final().values)
-    cauchy = [
-        float(np.sum(np.abs(a - b))) * traj.sgrid.cell_volume
-        for a, b in zip(finals, finals[1:])
-    ]
-    return {
-        "epsilon": eps_list,
-        "kinetic_distance": kinetic_dist,
-        "cauchy_l1": cauchy,
-        "kinetic_decreasing": all(b < a for a, b in zip(kinetic_dist, kinetic_dist[1:])),
-        "cauchy_decreasing": all(b < a for a, b in zip(cauchy, cauchy[1:])),
-    }

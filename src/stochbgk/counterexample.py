@@ -47,7 +47,7 @@ def b1(x):
 
 
 def b1_prime(x):
-    """Derivative of b1 where defined (used by the commutator envelope)."""
+    """Derivative of b1 where defined."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     mid = (x > 0) & (x <= 1)
@@ -94,15 +94,6 @@ def g_inverse(w):
         raise ConfigurationError("g_inverse is defined for w >= 0")
     y = np.sqrt(lambertw(w).real)
     return float(y) if w.ndim == 0 else y
-
-
-def exact_flow(t, x, y):
-    """Forward flow of dX = 0, dY = b1(X) b2(Y): (x, g^{-1}(g(y) e^{2 b1 t}))."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(y < 0) or t < 0:
-        raise ConfigurationError("exact_flow needs y >= 0 and t >= 0")
-    return x, g_inverse(g(y) * np.exp(2.0 * b1(x) * t))
 
 
 def exact_inverse_flow(t, x, y):

@@ -64,26 +64,24 @@ class KineticField:
             )
 
 
-def _cell_shifts(vgrid: VelocityGrid, rows: slice = slice(None), axis: int = -2) -> tuple:
-    """The tables of _single_cell_maxwellian for the velocity cells rows
-    laid along the given axis, -2 (picard_solve's rows) or -1 (a v-axis
-    last): the edge of each cell nearer v = 0, w_hi for v < 0 and w_lo for
-    v > 0, in dv units, shaped to broadcast along that axis, and the number
-    of those cells with v < 0."""
+def _cell_shifts(vgrid: VelocityGrid, rows: slice = slice(None)) -> tuple:
+    """The tables of _single_cell_maxwellian for the velocity cells rows:
+    the edge of each cell nearer v = 0, w_hi for v < 0 and w_lo for v > 0,
+    in dv units, and the number of those cells with v < 0."""
     half = vgrid.n_v // 2
     start, stop, _ = rows.indices(vgrid.n_v)
     edges = vgrid.edges() / vgrid.dv
     shift = np.concatenate([edges[1:half + 1], edges[half:-1]])[start:stop]  # w_hi, then w_lo
-    return shift.reshape((-1,) + (1,) * (-1 - axis)), min(max(half - start, 0), stop - start)
+    return shift, min(max(half - start, 0), stop - start)
 
 
 def _single_cell_maxwellian(r: np.ndarray, shift: np.ndarray, neg: int) -> np.ndarray:
-    """Cell average of chi_rho on one v-cell per entry along the axis of
-    _cell_shifts' (shift, neg), in place: r holds densities in dv units,
-    r = rho/dv, and its j-th entry along that axis is the one seen by the
-    j-th cell.  picard_solve's pair terms have their rows on axis -2; the
-    lift and the engine's relaxation pass rho/dv repeated along a v-axis
-    last.
+    """Cell average of chi_rho on one v-cell per entry of the last axis,
+    the cells of _cell_shifts' (shift, neg), in place: r holds densities in
+    dv units, r = rho/dv, and its j-th entry along the last axis is the one
+    seen by the j-th cell.  The lift and the engine's relaxation pass rho/dv
+    repeated along the v-axis; picard_solve's pair terms hold the
+    interpolated rho_l/dv of each row there.
 
     v = 0 is a cell edge, so with the cell edges w_lo < w_hi in dv units a
     cell with v > 0 is clip(r - w_lo, 0, 1) and a cell with v < 0 is
@@ -93,13 +91,10 @@ def _single_cell_maxwellian(r: np.ndarray, shift: np.ndarray, neg: int) -> np.nd
     when r is -0.0, which are -0.0.
     """
     r -= shift
-    axes = (slice(None),) * (shift.ndim - 1)  # the axes after the cells' axis
     if neg:
-        below = (..., slice(None, neg)) + axes
-        np.clip(r[below], -1.0, 0.0, out=r[below])
+        np.clip(r[..., :neg], -1.0, 0.0, out=r[..., :neg])
     if neg < shift.shape[0]:
-        above = (..., slice(neg, None)) + axes
-        np.clip(r[above], 0.0, 1.0, out=r[above])
+        np.clip(r[..., neg:], 0.0, 1.0, out=r[..., neg:])
     return r
 
 
@@ -124,7 +119,7 @@ def maxwellian_cell_average(rho, vgrid: VelocityGrid) -> np.ndarray:
     _check_density_bound(rho, vgrid)
     # exact, as dv is a power of two; + 0.0 makes a -0.0 density +0.0
     r = np.repeat((rho / vgrid.dv + 0.0)[..., None], vgrid.n_v, axis=-1)
-    return _single_cell_maxwellian(r, *_cell_shifts(vgrid, axis=-1))
+    return _single_cell_maxwellian(r, *_cell_shifts(vgrid))
 
 
 def lift_density(field: DensityField, vgrid: VelocityGrid) -> KineticField:
@@ -172,32 +167,12 @@ def entropy_pair(rho, v, spec):
     return eta, q
 
 
-def _region_slices(grid: SpatialGrid, region) -> tuple:
-    """Index slices of cells whose centers fall inside the region box."""
-    if region is None:
-        return (slice(None),) * grid.dim
-    c = grid.axis_centers()
-    out = []
-    for axis in range(grid.dim):
-        lo, hi = region[axis]
-        i0 = int(np.searchsorted(c, lo, side="left"))
-        i1 = int(np.searchsorted(c, hi, side="right"))
-        out.append(slice(i0, i1))
-    return tuple(out)
-
-
-def discrete_bv(rho: DensityField, region=None) -> float:
-    """Sum over axes of |neighbor differences| * h^(dim-1) inside the region.
-
-    Approximates the total variation; an empty region gives zero.
-    """
-    sl = _region_slices(rho.grid, region)
-    vals = rho.values[sl]
-    if vals.size == 0:
-        return 0.0
+def discrete_bv(rho: DensityField) -> float:
+    """Sum over axes of |neighbor differences| * h^(dim-1): approximates
+    the total variation."""
     total = 0.0
     for axis in range(rho.grid.dim):
-        total += float(np.sum(np.abs(np.diff(vals, axis=axis))))
+        total += float(np.sum(np.abs(np.diff(rho.values, axis=axis))))
     return total * rho.grid.h ** (rho.grid.dim - 1)
 
 

@@ -15,12 +15,9 @@ import numpy as np
 import pytest
 from scipy.special import lambertw
 
-from stochbgk.audit import (check_comparison, check_defect_structure,
-                            check_energy_defect_identity, check_l1_growth,
-                            check_max_principle, commutator_experiment,
-                            entropy_residual, fit_holder_exponent)
-from stochbgk.bgk import (BGKConfig, epsilon_continuation, picard_solve,
-                          run_simulation)
+from stochbgk.audit import (check_defect_structure, check_energy_defect_identity,
+                            check_l1_growth, check_max_principle, entropy_residual)
+from stochbgk.bgk import BGKConfig, picard_solve, run_simulation
 from stochbgk.brownian import sample_path, sample_paths, levy_modulus_statistic
 from stochbgk.counterexample import (b1, b1_prime, b2, b2_prime,
                                      bv_growth_experiment, cusp_data,
@@ -31,6 +28,9 @@ from stochbgk.grids import SpatialGrid
 from stochbgk.oracles import shift_reduction_oracle
 from stochbgk.problem import (burgers_const_1d, burgers_tanh_1d, bump_data,
                               plateau_data, random_bv_data)
+
+from experiments import (check_comparison, commutator_experiment, epsilon_continuation,
+                         fit_holder_exponent)
 
 GOLDEN_SEED = 7
 

@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 
 from stochbgk.audit import (SpatialBump, TemporalRamp, VelocityCutoff,
-                            check_bv_nonincrease,
-                            check_comparison, check_defect_structure,
+                            check_bv_nonincrease, check_defect_structure,
                             check_energy_defect_identity, check_l1_growth,
-                            check_max_principle, commutator_experiment,
-                            entropy_residual, fit_holder_exponent,
+                            check_max_principle, entropy_residual,
                             kinetic_residual, run_standard_audit)
 from stochbgk.bgk import BGKConfig, run_simulation
 from stochbgk.brownian import sample_path
@@ -22,6 +20,8 @@ from stochbgk.grids import SpatialGrid
 from stochbgk.problem import (burgers_const_1d, burgers_tanh_1d, bump_data, linear_flux,
                               make_spec, plateau_data, random_bv_data, riemann_data,
                               shear_field_2d)
+
+from experiments import check_comparison, commutator_experiment, fit_holder_exponent
 
 REFS = [-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75]
 GOLDEN_CONFIG = pathlib.Path(__file__).parent / "golden" / "config.json"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from stochbgk import bgk
 from stochbgk.bgk import (BGKConfig, _live_rows, _monotone_padded, _pad, _padded_gather,
-                          accumulate_defect, epsilon_continuation, picard_solve,
+                          accumulate_defect, picard_solve,
                           relax_substep, run_simulation, transport_substep)
 from stochbgk.brownian import BrownianPath, sample_path
 from stochbgk.counterexample import cusp_data, cusp_flow_spec
@@ -27,6 +27,7 @@ from stochbgk.problem import (burgers_const_1d, burgers_tanh_1d, bump_data,
                               linear_const_1d, plateau_data, random_bv_data, riemann_data)
 
 from conftest import clip_lift
+from experiments import epsilon_continuation
 
 
 def _monotone(values, coords):
@@ -265,9 +266,9 @@ class TestKernelProperties:
             lambda k: k * vg.dv, st.integers(-n_v // 2, n_v // 2))
         rho = np.array(data.draw(st.lists(special | st.floats(-N, N), min_size=1,
                                           max_size=12)))
-        rows = np.broadcast_to(rho, (n_v, rho.size)) / vg.dv
-        assert np.array_equal(_single_cell_maxwellian(rows, *_cell_shifts(vg)),
-                              clip_lift(rho, vg).T)
+        r = np.broadcast_to(rho[:, None], (rho.size, n_v)) / vg.dv
+        assert np.array_equal(_single_cell_maxwellian(r, *_cell_shifts(vg)),
+                              clip_lift(rho, vg))
 
 
 # (a, b) pairs at the edges of the no-clamp proof in _monotone_1d, and the
@@ -909,6 +910,15 @@ class TestEpsilonContinuation:
             epsilon_continuation(spec, cfg, path, [2 * dt, dt / 4])
         assert len(record) == 1  # the level below dt warns once
 
+    def test_dt_warning_names_the_callers_line(self):
+        # "always" overrides the ini filter that hides this warning elsewhere
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            BGKConfig(epsilon=0.001, dt=0.01, horizon=0.1, half_width=3.0, n=64)
+        (w,) = caught
+        assert "exceeds epsilon" in str(w.message)
+        assert w.filename == __file__
+
 
 
 def _reference_picard(spec, cfg, path):
@@ -1141,23 +1151,20 @@ class TestPicard:
         edges = vg.edges()
         rho = np.concatenate([np.linspace(lo, hi, 97), [lo, hi, 0.0, -0.0],
                               edges[(edges >= lo) & (edges <= hi)]])
-        r = np.broadcast_to(rho, (vg.n_v, rho.size)) / vg.dv
+        r = np.broadcast_to(rho[:, None], (rho.size, vg.n_v)) / vg.dv
         cells = _single_cell_maxwellian(r.copy(), *_cell_shifts(vg))
-        outside = np.delete(cells, np.arange(vg.n_v)[rows], axis=0)
+        outside = np.delete(cells, np.arange(vg.n_v)[rows], axis=1)
         assert np.all(outside == 0.0)
         # +0.0 save where rho is -0.0, which yields -0.0 in the cell next to v = 0
         positive = ~(np.signbit(rho) & (rho == 0.0))
-        assert outside[:, positive].tobytes() == np.zeros_like(outside[:, positive]).tobytes()
+        assert outside[positive].tobytes() == np.zeros_like(outside[positive]).tobytes()
         # every live cell holds a non-zero for some density of the interval
-        assert np.all(np.any(cells[rows] != 0.0, axis=1))
+        assert np.all(np.any(cells[:, rows] != 0.0, axis=0))
         # the tables of the live rows evaluate the same cells, in blocks too
-        live = _single_cell_maxwellian(r[rows].copy(), *_cell_shifts(vg, rows))
-        assert live.tobytes() == cells[rows].tobytes()
-        block = _single_cell_maxwellian(np.stack([r[rows]] * 3), *_cell_shifts(vg, rows))
-        assert block.tobytes() == np.stack([cells[rows]] * 3).tobytes()
-        # and with the cells on the last axis, as the engine lays them out
-        v_last = _single_cell_maxwellian(r[rows].T.copy(), *_cell_shifts(vg, rows, axis=-1))
-        assert v_last.tobytes() == cells[rows].T.tobytes()
+        live = _single_cell_maxwellian(r[:, rows].copy(), *_cell_shifts(vg, rows))
+        assert live.tobytes() == cells[:, rows].tobytes()
+        block = _single_cell_maxwellian(np.stack([r[:, rows]] * 3), *_cell_shifts(vg, rows))
+        assert block.tobytes() == np.stack([cells[:, rows]] * 3).tobytes()
 
     def test_non_finite_increment_aborts(self):
         # as run_simulation: the first non-finite path node names the step

@@ -8,12 +8,14 @@ import pytest
 
 from stochbgk.counterexample import (CounterexampleData, b1, b2, b2_prime,
                                      bv_growth_experiment, cusp_data,
-                                     deterministic_solution, exact_flow,
+                                     deterministic_solution,
                                      exact_inverse_flow, g, g_inverse,
                                      cusp_flow_spec, smooth_control_data,
                                      stochastic_counterpart)
 from stochbgk.errors import ConfigurationError
 from stochbgk.grids import SpatialGrid
+
+from experiments import exact_flow
 
 
 class TestFieldComponents:
