@@ -17,4 +17,10 @@ from .fields import (DensityField, KineticField, density_from_kinetic,
 from .grids import SpatialGrid, VelocityGrid
 from .problem import ProblemSpec
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = ["BGKConfig", "Trajectory", "accumulate_defect", "picard_solve", "relax_substep",
+           "run_simulation", "transport_substep", "BrownianPath", "levy_modulus_statistic",
+           "sample_path", "sample_paths", "ConfigurationError", "GridMismatchError",
+           "NumericalAbortError", "RangeViolationError", "StochBGKError",
+           "StructuralViolationError", "DensityField", "KineticField", "density_from_kinetic",
+           "discrete_bv", "entropy_pair", "kinetic_l1", "lift_density", "lp_norm",
+           "maxwellian_cell_average", "SpatialGrid", "VelocityGrid", "ProblemSpec"]

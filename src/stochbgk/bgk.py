@@ -48,7 +48,8 @@ from typing import Optional
 import numpy as np
 
 from .brownian import BrownianPath
-from .errors import ConfigurationError, NumericalAbortError, StructuralViolationError
+from .errors import (ConfigurationError, GridMismatchError, NumericalAbortError,
+                     StructuralViolationError)
 from .fields import (DensityField, KineticField, _cell_shifts, _check_density_bound,
                      _single_cell_maxwellian, kinetic_density_values,
                      maxwellian_cell_average)
@@ -358,7 +359,7 @@ def accumulate_defect(u_before_relax: KineticField, u_after_relax: KineticField,
     """
     if (u_before_relax.sgrid != u_after_relax.sgrid
             or u_before_relax.vgrid != u_after_relax.vgrid):
-        raise ConfigurationError("defect fields live on different grids")
+        raise GridMismatchError("defect fields live on different grids")
     return _defect_prefix(u_before_relax.values, u_after_relax.values,
                           u_before_relax.vgrid.dv)[0]
 
@@ -395,7 +396,10 @@ def _live_rows(vgrid: VelocityGrid, rho_bounds) -> slice:
 # engine
 
 class _Engine:
-    """Cached per-run state for the splitting loop."""
+    """The set-up of one run of either solver, with the live v-cells, their
+    cell tables, the lift of rho0 and reach[k, a] = (|dB_a| + drift[a])/h,
+    the cells step k + 1 can move along axis a.  A non-finite reach (an
+    increment, the drift, or h = 0) aborts the run before its first step."""
 
     def __init__(self, spec: ProblemSpec, config: BGKConfig, path: BrownianPath):
         if path.dim != spec.dim:
@@ -425,6 +429,17 @@ class _Engine:
         # per axis, the most one step's drift dt f'(v) b_a(x) moves a foot
         self.drift = config.dt * float(np.max(np.abs(self.fp))) * np.max(
             np.abs(self.b_grid.reshape(-1, spec.dim)), axis=0)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            self.reach = (np.abs(path.increments[:config.n_steps]) + self.drift) / self.sgrid.h
+        bad = np.flatnonzero(~np.all(np.isfinite(self.reach), axis=1))
+        if bad.size:
+            step = int(bad[0]) + 1
+            raise NumericalAbortError(f"non-finite increment or drift at step {step} "
+                                      f"(t = {step * config.dt})", step=step, time=step * config.dt)
+        self.full = _full_box(self.sgrid)
+        self.rows = _live_rows(self.vgrid, self.rho_bounds)
+        self.cells = _cell_shifts(self.vgrid, self.rows)
+        self.lift = maxwellian_cell_average(self.rho0.values, self.vgrid)
 
 
 def _support(u: np.ndarray, win: tuple):
@@ -445,12 +460,13 @@ def _window(support, reach, sgrid: SpatialGrid) -> tuple:
     and whether they cross the box edge.  The window is the support box
     widened on each axis a by ceil(reach[a]) + 2 cells and clipped to the
     box, empty when support is None.  reach[a] is in cells: for one engine
-    step (|dB_a| + dt max|f'| max|b_a|)/h.  The window is the full box when
-    a reach is not finite.
+    step (|dB_a| + dt max|f'| max|b_a|)/h, which _Engine checks is finite.
+    Only picard_solve's reach of a block of steps can overflow; the window
+    is then the full box, with edge True.
 
-    edge is True when that clip took effect on some axis, or a reach is not
-    finite: mass of the state may then leave the box in the step, which the
-    zero fill outside it loses.  It is False for an empty support.
+    edge is True when that clip took effect on some axis: mass of the state
+    may then leave the box in the step, which the zero fill outside it
+    loses.  It is False for an empty support.
 
     Each extent is rounded up to a multiple of n/128 cells, so successive
     steps allocate arrays of equal size that the allocator reuses: with
@@ -497,10 +513,10 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
     in some v-cell (u, not rho: a sign-changing u can have rho = 0), widened
     on axis a by ceil((|dB_a| + dt max|f'| max|b_a|)/h) + 2 cells, rounded up
     to a multiple of n/128 cells (see _window) and clipped to the box.  A
-    step whose reach is not finite (a non-finite increment or drift) aborts
-    before it moves anything, as a full-box step did once its density turned
-    non-finite.  The next support is searched inside the window only, since
-    it cannot leave it.
+    step whose reach is not finite (a non-finite increment or drift, or a
+    cell width that underflows) aborts the run in _Engine, before the first
+    step, as picard_solve does.  The next support is searched inside the
+    window only, since it cannot leave it.
 
     At the first step whose window the box edge clips (_window's edge
     flag), where mass may leave the box, the run warns once, "padded box
@@ -544,35 +560,26 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
     eng = _Engine(spec, config, path)
     n_steps = config.n_steps
     stride = config.snapshot_stride
-    full = _full_box(eng.sgrid)
     n_v, dv = eng.vgrid.n_v, eng.vgrid.dv
-    rows = _live_rows(eng.vgrid, eng.rho_bounds)
+    rows = eng.rows
     above = (slice(rows.stop, None),)  # the v-cells above the live ones
-    cells = _cell_shifts(eng.vgrid, rows)
     feet = _drift_feet(eng.sgrid, config.dt, eng.fp[rows], eng.b_grid)
-    lift = maxwellian_cell_average(eng.rho0.values, eng.vgrid)
-    buf = _pad(lift[..., rows], eng.sgrid.dim)
-    u, held = buf[_in_padded(full)], full  # u views the buffer; held: the window it holds
+    buf = _pad(eng.lift[..., rows], eng.sgrid.dim)
+    u, held = buf[_in_padded(eng.full)], eng.full  # u views the buffer; held: the window it holds
 
     snap_times = [0.0]
     snaps = [eng.rho0.values.copy()]
     vol = eng.sgrid.cell_volume
-    u_l1 = [float(np.sum(np.abs(lift)) * vol * dv)]
-    slab = np.zeros(lift.shape)  # the open slab's summed defect prefix
+    u_l1 = [float(np.sum(np.abs(eng.lift)) * vol * dv)]
+    slab = np.zeros(eng.lift.shape)  # the open slab's summed defect prefix
     slab_times, slab_mass, min_entry = [], [], 0.0
 
-    support, warned = _support(u, full), False
+    support, warned = _support(u, eng.full), False
     for k in range(n_steps):
         t_next = (k + 1) * config.dt
-        reach = (np.abs(path.increments[k]) + eng.drift) / eng.sgrid.h
-        if not np.all(np.isfinite(reach)):
-            raise NumericalAbortError(
-                f"non-finite increment or drift at step {k + 1} (t = {t_next})",
-                step=k + 1, time=t_next,
-            )
-        win, edge = _window(support, reach, eng.sgrid)
+        win, edge = _window(support, eng.reach[k], eng.sgrid)
         u_tilde = _transport_values(buf, feet, path.increments[k], eng.sgrid, win)
-        rho_win, u_win = _relax(u_tilde, rows, eng.vgrid, eng.rho_bounds, eng.alpha, cells)
+        rho_win, u_win = _relax(u_tilde, rows, eng.vgrid, eng.rho_bounds, eng.alpha, eng.cells)
         prefix, low = _defect_prefix(u_tilde, u_win, dv)
         min_entry = min(min_entry, low)  # 0.0 covers the +0.0 cells outside the window
         slab[win + (rows,)] += prefix
@@ -623,13 +630,6 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
 # at 72 MB, of 16 at 75 MB and a whole row of pairs per block at 81 MB;
 # blocks of 8, 12 or 16 were no faster than 6
 _PAIR_BLOCK = 6
-
-
-def contraction_bound(spec: ProblemSpec, window: float, epsilon: float,
-                      v_bound: float) -> float:
-    """exp(T1 C0) (1 - exp(-T1/eps)): the fixed-point map's Lipschitz bound."""
-    c0 = spec.growth_rate(v_bound)
-    return math.exp(window * c0) * (1.0 - math.exp(-window / epsilon))
 
 
 def picard_solve(spec: ProblemSpec, config: BGKConfig,
@@ -696,41 +696,40 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
     scales.  That needs neighbouring densities closer than about
     2^-1022 max(1, dv)/w without being equal.
 
-    The path nodes of a window are checked before its feet are built: a
-    non-finite node raises NumericalAbortError, as run_simulation does,
-    which also keeps every reach finite.
+    _Engine aborts on a non-finite reach before the first window, as for
+    run_simulation.  The nodes are then finite (BrownianPath rejects finite
+    increments that sum to an overflow), but a block's reach, a difference
+    of nodes, can overflow, for which _window gives the full box.
 
     Once every window has converged, step k gets run_simulation's edge
-    warning from the _window of the support of rho_k and the reach
-    (|B(t_k+1) - B(t_k)| + drift)/h; a block's window, whose reach spans up
-    to a whole window of steps, is no such test.
+    warning from the _window of the support of rho_k and the engine's reach
+    of step k + 1; a block's window, whose reach spans up to a whole window
+    of steps, is no such test.
     """
     if spec.dim != 1:
         raise ConfigurationError("picard mode is implemented for 1D runs")
     eng = _Engine(spec, config, path)
+    dt, eps = config.dt, config.epsilon
     window = config.window if config.window is not None else config.horizon
-    n_win = int(round(window / config.dt))
+    n_win = int(round(window / dt))
     if n_win < 1:
         raise ConfigurationError("window must cover at least one step")
-    bound = contraction_bound(spec, n_win * config.dt, config.epsilon, eng.vgrid.bound)
+    t1 = n_win * dt  # exp(T1 C0) (1 - exp(-T1/eps)) bounds the fixed-point map's Lipschitz constant
+    bound = math.exp(t1 * spec.growth_rate(eng.vgrid.bound)) * (1.0 - math.exp(-t1 / eps))
     if bound >= 1.0:
         raise ConfigurationError(
             f"contraction condition fails: exp(T1 C0)(1 - e^(-T1/eps)) = {bound:.3f} >= 1"
         )
     n_steps = config.n_steps
-    dt, eps = config.dt, config.epsilon
     n, h, dv = config.n, eng.sgrid.h, eng.vgrid.dv
     x0 = -eng.sgrid.half_width + 0.5 * h
     centers = eng.sgrid.axis_centers()
     nodes = path.values_at_nodes()
     bx = eng.b_grid[:, 0]
-    rows = _live_rows(eng.vgrid, eng.rho_bounds)
-    cells = _cell_shifts(eng.vgrid, rows)
-    fp = eng.fp[rows]
+    fp = eng.fp[eng.rows]
     drift = float(eng.drift[0])
-    full = _full_box(eng.sgrid)
 
-    u_final = maxwellian_cell_average(eng.rho0.values, eng.vgrid)  # u where the next window starts
+    u_final = eng.lift  # u where the next window starts
     rho_hist = np.empty((n_steps + 1, n))
     rho_hist[0] = eng.rho0.values
     ratios, residuals = [], []
@@ -740,11 +739,6 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
         win_end = min(win_start + n_win, n_steps)
         m_count = win_end - win_start
         win_nodes = nodes[win_start:win_end + 1, 0].tolist()  # B(t_m), m = 0..m_count
-        bad = [m for m, b in enumerate(win_nodes) if not math.isfinite(b)]
-        if bad:
-            k = win_start + bad[0]
-            raise NumericalAbortError(f"non-finite path at step {k} (t = {k * dt})",
-                                      step=k, time=k * dt)
         # scaled inverse-flow feet s[l][m - l - 1] = (X^v_{t_m, t_l}(x_i) - x0)/h
         # for 0 <= l < m on the live rows, shape (nx, rows); one array per l
         s = [np.empty((m_count - l, n, fp.shape[0])) for l in range(m_count)]
@@ -765,7 +759,7 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
                              for m in range(l + 1, m_count + 1)])[:, None, None]
                    for l in range(m_count)]
         # the decayed initial state per m, rows 1..m_count
-        u_start = _pad(u_final[:, rows], 1)
+        u_start = _pad(u_final[:, eng.rows], 1)
         tails = np.zeros((m_count + 1, n, fp.shape[0]))
         for m in range(1, m_count + 1):
             tails[m] = math.exp(-m * dt / eps) * _monotone_1d(u_start, s[0][m - 1])
@@ -784,14 +778,14 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
                         for m in range(m0, m1)) / h
             (cols,), _ = _window(support[l], (reach,), eng.sgrid)
             terms = _single_cell_maxwellian(
-                _monotone_1d(rho_pad[l], s[l][m0 - l - 1:m1 - l - 1, cols]), *cells)
+                _monotone_1d(rho_pad[l], s[l][m0 - l - 1:m1 - l - 1, cols]), *eng.cells)
             terms *= weights[l][m0 - l - 1:m1 - l - 1]
             return cols, terms
 
         for sweep in range(config.picard_max_iters):
             # rows 0..sweep of rho_iter are final: row m reads only rows l < m
             np.divide(rho_iter, dv, out=rho_pad[:, 2:-2])
-            support = {l: _support(rho_iter[l, :, None], full) for l in range(sweep, m_count)}
+            support = {l: _support(rho_iter[l, :, None], eng.full) for l in range(sweep, m_count)}
             rho_new = rho_iter.copy()
             delta = 0.0
             # one l at a time, so every row m takes its terms in l order: the
@@ -808,7 +802,7 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
             acc[sweep + 1:] += tails[sweep + 1:]
             for m in range(sweep + 1, m_count + 1):
                 u = np.zeros((eng.vgrid.n_v, n))
-                u[rows] = acc[m].T
+                u[eng.rows] = acc[m].T
                 u_m = u.T  # (nx, nv)
                 rho_new[m] = kinetic_density_values(u_m, dv)
                 np.clip(rho_new[m], eng.rho_bounds[0], eng.rho_bounds[1], out=rho_new[m])
@@ -837,8 +831,7 @@ def picard_solve(spec: ProblemSpec, config: BGKConfig,
         win_start = win_end
 
     for k in range(n_steps):
-        reach = (abs(nodes[k + 1, 0] - nodes[k, 0]) + drift) / h
-        if _window(_support(rho_hist[k, :, None], full), (reach,), eng.sgrid)[1]:
+        if _window(_support(rho_hist[k, :, None], eng.full), eng.reach[k], eng.sgrid)[1]:
             _warn_edge(k + 1, (k + 1) * dt)
             break
 

@@ -106,7 +106,6 @@ def cosine_kernel_moment(samples: int = 801) -> float:
     k = np.cos(0.5 * np.pi * z) ** 2
     dk = -0.5 * np.pi * np.sin(np.pi * z)
     Z0, Z1 = np.meshgrid(z, z, indexing="ij")
-    K = np.outer(k, k)
     G0 = np.outer(dk, k)
     G1 = np.outer(k, dk)
     r = np.sqrt(Z0**2 + Z1**2)

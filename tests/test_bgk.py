@@ -1,5 +1,6 @@
 """BGK engine: substeps, defect accumulation, full runs, Picard mode."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -16,8 +17,8 @@ from stochbgk.bgk import (BGKConfig, _live_rows, _monotone_padded, _pad, _padded
                           relax_substep, run_simulation, transport_substep)
 from stochbgk.brownian import BrownianPath, sample_path
 from stochbgk.counterexample import cusp_data, cusp_flow_spec
-from stochbgk.errors import (ConfigurationError, NumericalAbortError, RangeViolationError,
-                             StructuralViolationError)
+from stochbgk.errors import (ConfigurationError, GridMismatchError, NumericalAbortError,
+                             RangeViolationError, StructuralViolationError)
 from stochbgk.fields import (DensityField, KineticField, _cell_shifts,
                              _single_cell_maxwellian, check_kinetic_structure,
                              density_from_kinetic, kinetic_density_values,
@@ -464,13 +465,15 @@ class TestDefect:
             accumulate_defect(before, after, 0.01, 0.01)
 
     def test_grid_mismatch_raises(self):
+        # not a ConfigurationError, which the CLI reports as a bad config (exit 2)
         g1 = SpatialGrid(dim=1, half_width=1.0, n=4)
         g2 = SpatialGrid(dim=1, half_width=1.0, n=8)
         vg = VelocityGrid(bound=1.0, n_v=4)
         a = KineticField(g1, vg, np.zeros((4, 4)))
-        b = KineticField(g2, vg, np.zeros((8, 4)))
-        with pytest.raises(ConfigurationError):
-            accumulate_defect(a, b, 0.01, 0.01)
+        for b in (KineticField(g2, vg, np.zeros((8, 4))),
+                  KineticField(g1, VelocityGrid(bound=2.0, n_v=4), np.zeros((4, 4)))):
+            with pytest.raises(GridMismatchError):
+                accumulate_defect(a, b, 0.01, 0.01)
 
 
 def _pinned_case(kind):
@@ -731,6 +734,24 @@ class TestRun:
             with np.errstate(invalid="ignore"), pytest.raises(NumericalAbortError) as err:
                 run_simulation(spec, cfg, path)
             assert err.value.step == 2
+
+    @pytest.mark.parametrize("solve", [run_simulation, picard_solve])
+    @pytest.mark.parametrize("case", ["nan_field", "h_zero", "h_subnormal"])
+    def test_non_finite_reach_aborts_before_the_first_step(self, solve, case):
+        # a field that is NaN inside the box, and cell widths that underflow to
+        # 0 (5e-324 / 2) or to a subnormal whose reach overflows (1e-320 / 2)
+        dt = 0.01
+        spec = burgers_const_1d(plateau_data(1.0, -1.0, 0.0), c=1.0)
+        n, half_width = {"nan_field": (64, 3.0), "h_zero": (4, 5e-324),
+                         "h_subnormal": (4, 1e-320)}[case]
+        if case == "nan_field":
+            spec = dataclasses.replace(spec, b=lambda x: np.where(x > 2.5, np.nan, 1.0))
+        cfg = BGKConfig(epsilon=0.02, dt=dt, horizon=8 * dt, half_width=half_width, n=n,
+                        n_v=8, window=4 * dt)
+        with pytest.raises(NumericalAbortError) as err:
+            solve(spec, cfg, sample_path(5, dt, cfg.horizon, dim=1))
+        assert (err.value.step, err.value.time) == (1, dt)
+        assert str(err.value).startswith("non-finite increment or drift at step 1 ")
 
     def test_path_resolution_mismatch_rejected(self):
         spec = burgers_const_1d(plateau_data(1.0, -1.0, 0.0), c=1.0)
