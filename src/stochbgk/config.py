@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,12 +164,19 @@ def build_spec(cfg: dict) -> ProblemSpec:
 
 def build_bgk_config(cfg: dict) -> BGKConfig:
     dt = _get(cfg, "bgk.dt", float, above=0.0)
+    half_width = _get(cfg, "grid.half_width", float, above=0.0)
+    n = _get(cfg, "grid.n", int, low=4)
+    if 2.0 * half_width / n < sys.float_info.min:
+        # a zero or subnormal cell width would abort the run at its first step
+        raise ConfigurationError(
+            f"field 'grid.half_width' is {half_width}: the cell width 2 * half_width / "
+            f"grid.n is below the smallest normal float {sys.float_info.min}")
     return BGKConfig(
         epsilon=_get(cfg, "bgk.epsilon", float, above=0.0),
         dt=dt,
         horizon=_get(cfg, "bgk.horizon", float, low=dt),
-        half_width=_get(cfg, "grid.half_width", float, above=0.0),
-        n=_get(cfg, "grid.n", int, low=4),
+        half_width=half_width,
+        n=n,
         n_v=_even(cfg, "grid.n_v", 32),
         v_bound=_get(cfg, "grid.v_bound", float, None, above=0.0),
         snapshot_stride=_get(cfg, "bgk.snapshot_stride", int, 1, low=1),

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .fields import DensityField, discrete_bv
+from .fields import DensityField, discrete_bv, discrete_bv_of_blocks
 from .grids import SpatialGrid
 from .problem import ProblemSpec, linear_flux, make_spec
 
@@ -152,9 +152,6 @@ class CounterexampleData:
         c = grid.axis_centers()
         return DensityField(grid, np.outer(self.profile_x(c), self.profile_y(c)))
 
-    def evaluate(self, x, y):
-        return self.profile_x(x) * self.profile_y(y)
-
 
 def cusp_data() -> CounterexampleData:
     return CounterexampleData(cusp_profile_x, bump_profile_y)
@@ -167,35 +164,57 @@ def smooth_control_data() -> CounterexampleData:
 # ---------------------------------------------------------------------------
 # experiments
 
-def _inverse_flow_on_grid(t, grid: SpatialGrid):
-    """eta(t, x, y) at every cell centre of a 2D grid, indexed [x, y].
+# rows per block when the ladder streams a field through the BV kernel
+BV_BLOCK_ROWS = 128
 
-    Points with y < 0 are frozen (b2 vanishes there).  The inverse flow
-    depends on x only through b1(x), so it is solved once per distinct b1
-    value (every x < 0 shares b1 = 0) and the rows are indexed back.
+
+def _profile_table(t, profile_y, grid: SpatialGrid):
+    """(row, table) with profile_y(eta(t, x_i, .)) = table[row[i]] on the
+    cell centres of a 2D grid.
+
+    Points with y < 0 are frozen (b2 vanishes there), so the inverse flow
+    is solved on the y >= 0 columns only.  It depends on x only through
+    b1(x), so it is solved once per distinct b1 value (every x < 0 shares
+    b1 = 0): a table of about n/2 + 1 rows.
     """
     if grid.dim != 2:
         raise ConfigurationError("the construction is two-dimensional")
     c = grid.axis_centers()
     _, first, row = np.unique(b1(c), return_index=True, return_inverse=True)
     pos = c >= 0
-    _, eta_rows = exact_inverse_flow(t, c[first][:, None],
-                                     np.where(pos, c, 0.0)[None, :])
-    return np.where(pos, eta_rows[row], c)
+    table = np.empty((len(first), len(c)))
+    table[:, ~pos] = profile_y(c[~pos])
+    _, eta = exact_inverse_flow(t, c[first][:, None], c[pos][None, :])
+    table[:, pos] = profile_y(eta)
+    return row, table
 
 
 def deterministic_solution(t, data: CounterexampleData,
                            grid: SpatialGrid) -> DensityField:
     """Closed-form weak solution rho(t) = rho0 o (flow)^{-1}, sampled pointwise."""
-    eta = _inverse_flow_on_grid(t, grid)
-    return DensityField(grid, data.evaluate(grid.axis_centers()[:, None], eta))
+    row, table = _profile_table(t, data.profile_y, grid)
+    return DensityField(grid, data.profile_x(grid.axis_centers())[:, None] * table[row])
+
+
+def _product_blocks(p1, table, row=None):
+    """The field p1(x_i) * table[row[i]] (table itself when row is None) as
+    blocks of BV_BLOCK_ROWS rows, formed anew on each call."""
+    def blocks():
+        for lo in range(0, len(p1), BV_BLOCK_ROWS):
+            hi = lo + BV_BLOCK_ROWS
+            yield p1[lo:hi, None] * (table if row is None else table[row[lo:hi]])
+    return blocks
 
 
 def bv_growth_experiment(data, t, resolutions):
     """Discrete BV of the closed-form solution on a refinement ladder.
 
     ``data`` is one ``CounterexampleData`` or a sequence of them; all of them
-    share one inverse-flow solve per resolution and box.  Returns rows
+    with the same box and y profile share one inverse-flow solve per
+    resolution, a table of profile_y(eta) per distinct b1 row.  Neither
+    rho0 = p1 (x) p2 nor rho(t) = p1(x) table[row(x)] is held whole: each is
+    streamed through ``discrete_bv_of_blocks`` in blocks of BV_BLOCK_ROWS
+    rows, so a rung holds the table and one n x n BV buffer.  Returns rows
     (n, h, bv at time t, bv at time 0), data-major: the whole ladder of the
     first data, then of the next.
     """
@@ -204,17 +223,19 @@ def bv_growth_experiment(data, t, resolutions):
     datas = (data,) if isinstance(data, CounterexampleData) else tuple(data)
     ladders = [[] for _ in datas]
     for n in resolutions:
-        etas = {}
+        tables = {}
         for d, rows in zip(datas, ladders):
             grid = SpatialGrid(dim=2, half_width=d.radius, n=int(n))
-            f0 = d.sample(grid)
-            ft = f0
+            c = grid.axis_centers()
+            p1 = d.profile_x(c)
+            bv0 = bvt = discrete_bv_of_blocks(grid, _product_blocks(p1, d.profile_y(c)))
             if t > 0:
-                if d.radius not in etas:
-                    etas[d.radius] = _inverse_flow_on_grid(t, grid)
-                ft = DensityField(grid, d.evaluate(grid.axis_centers()[:, None],
-                                                   etas[d.radius]))
-            rows.append((int(n), grid.h, discrete_bv(ft), discrete_bv(f0)))
+                key = (d.radius, d.profile_y)
+                if key not in tables:
+                    tables[key] = _profile_table(t, d.profile_y, grid)
+                row, table = tables[key]
+                bvt = discrete_bv_of_blocks(grid, _product_blocks(p1, table, row))
+            rows.append((int(n), grid.h, bvt, bv0))
     return [row for rows in ladders for row in rows]
 
 

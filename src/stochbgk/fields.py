@@ -170,10 +170,39 @@ def entropy_pair(rho, v, spec):
 def discrete_bv(rho: DensityField) -> float:
     """Sum over axes of |neighbor differences| * h^(dim-1): approximates
     the total variation."""
+    return discrete_bv_of_blocks(rho.grid, lambda: (rho.values,))
+
+
+def discrete_bv_of_blocks(grid: SpatialGrid, blocks) -> float:
+    """``discrete_bv`` of a field that is never held whole.
+
+    ``blocks()`` yields the field's consecutive slabs along axis 0, covering
+    it; it is called once per axis.  Each axis's |differences| go into one
+    full-size buffer, summed once: ``np.sum``'s pairwise order runs over the
+    whole array, so summing per block would change the bits.
+    """
+    n = grid.n
+    buf = np.empty(n ** (grid.dim - 1) * (n - 1))
     total = 0.0
-    for axis in range(rho.grid.dim):
-        total += float(np.sum(np.abs(np.diff(rho.values, axis=axis))))
-    return total * rho.grid.h ** (rho.grid.dim - 1)
+    for axis in range(grid.dim):
+        diff_shape = tuple(n - 1 if a == axis else n for a in range(grid.dim))
+        out = buf.reshape(diff_shape)
+        lo, prev = 0, None
+        for block in blocks():
+            hi = lo + len(block)
+            if axis:
+                lead = (slice(None),) * axis
+                np.subtract(block[lead + (slice(1, None),)], block[lead + (slice(None, -1),)],
+                            out=out[lo:hi])
+            else:
+                if prev is not None:
+                    np.subtract(block[:1], prev, out=out[lo - 1:lo])
+                np.subtract(block[1:], block[:-1], out=out[lo:hi - 1])
+                prev = block[-1:].copy()
+            lo = hi
+        np.abs(out, out=out)
+        total += float(np.sum(out))
+    return total * grid.h ** (grid.dim - 1)
 
 
 def lp_norm(field: DensityField, p) -> float:

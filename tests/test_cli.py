@@ -172,6 +172,8 @@ class TestValidation:
         ("simulate", "bgk.picard_tol", "1e-8"),
         ("simulate", "bgk.picard_max_iters", 2.5),
         ("simulate", "bgk.horizon", 0.001),
+        ("simulate", "grid.half_width", 5e-324),
+        ("simulate", "grid.half_width", 1e-320),
         ("simulate", "spec.initial.height", "tall"),
         ("simulate", "spec.initial.height", math.inf),
         ("tanh", "spec.field.amplitude", math.nan),

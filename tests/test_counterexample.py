@@ -1,6 +1,8 @@
 """Closed-form 2D flow, its BV refinement ladders, and the noisy counterpart."""
 
+import hashlib
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -207,7 +209,7 @@ class TestDeterministicSolution:
         X, Y = np.meshgrid(c, c, indexing="ij")
         pos = Y >= 0
         _, eta = exact_inverse_flow(0.7, X, np.where(pos, Y, 0.0))
-        ref = data.evaluate(X, np.where(pos, eta, Y))
+        ref = data.profile_x(X) * data.profile_y(np.where(pos, eta, Y))
         sol = deterministic_solution(0.7, data, grid)
         assert sol.values.tobytes() == ref.tobytes()
 
@@ -241,6 +243,26 @@ class TestBVLadders:
         single = (bv_growth_experiment(cusp_data(), t, res)
                   + bv_growth_experiment(smooth_control_data(), t, res))
         assert repr(both) == repr(single)
+
+    def test_ladder_bytes_pinned(self):
+        """The benchmark's ladder (both data, t = 1, n = 128 … 1024) keeps
+        its exact floats: sha256 of the repr of its rows."""
+        rows = bv_growth_experiment((cusp_data(), smooth_control_data()), 1.0,
+                                    (128, 256, 512, 1024))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "61ae922f9ba8afa9bb873f05e1f6b59f7cdec0fd82c5cd048536261247304729")
+
+    def test_ladder_holds_no_full_grid_field(self):
+        """A rung streams both fields through one BV buffer: its traced peak
+        stays within 2.5 n x n float64 arrays (5 of them before)."""
+        n = 1024
+        tracemalloc.start()
+        try:
+            bv_growth_experiment((cusp_data(), smooth_control_data()), 1.0, [n])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * 8
 
 
 class TestStochasticCounterpart:

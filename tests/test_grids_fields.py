@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stochbgk.counterexample import BV_BLOCK_ROWS
 from stochbgk.errors import ConfigurationError, RangeViolationError
 from stochbgk.fields import (DensityField, density_from_kinetic, discrete_bv,
-                             entropy_pair, kinetic_l1, lift_density, lp_norm,
-                             maxwellian_cell_average)
+                             discrete_bv_of_blocks, entropy_pair, kinetic_l1,
+                             lift_density, lp_norm, maxwellian_cell_average)
 from stochbgk.grids import SpatialGrid, VelocityGrid
 
 from experiments import _region_slices
@@ -195,6 +196,20 @@ class TestDiscreteBV:
             scale * bv_a, rel=1e-12, abs=1e-12)
         total = discrete_bv(DensityField(g, a.values + b.values))
         assert total <= bv_a + discrete_bv(b) + 1e-12
+
+    @given(dim=st.sampled_from([1, 2]),
+           n=st.sampled_from([4, BV_BLOCK_ROWS - 28, 2 * BV_BLOCK_ROWS + 1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_row_blocks_give_the_whole_field_sum_bit_for_bit(self, dim, n, seed):
+        # values spanning six decades, so any change of summation order shows
+        rng = np.random.default_rng(seed)
+        g = SpatialGrid(dim=dim, half_width=1.0, n=n)
+        v = rng.normal(size=g.shape) * 10.0 ** rng.uniform(-3, 3, size=g.shape)
+        whole_sum = sum(float(np.sum(np.abs(np.diff(v, axis=a))))
+                        for a in range(dim)) * g.h ** (dim - 1)
+        blocks = lambda: (v[lo:lo + BV_BLOCK_ROWS] for lo in range(0, n, BV_BLOCK_ROWS))
+        assert discrete_bv_of_blocks(g, blocks) == whole_sum
+        assert discrete_bv(DensityField(g, v)) == whole_sum
 
 
 class TestNorms:
