@@ -435,7 +435,7 @@ class _Engine:
         if bad.size:
             step = int(bad[0]) + 1
             raise NumericalAbortError(f"non-finite increment or drift at step {step} "
-                                      f"(t = {step * config.dt})", step=step, time=step * config.dt)
+                                      f"(t = {step * config.dt})")
         self.full = _full_box(self.sgrid)
         self.rows = _live_rows(self.vgrid, self.rho_bounds)
         self.cells = _cell_shifts(self.vgrid, self.rows)
@@ -586,10 +586,7 @@ def run_simulation(spec: ProblemSpec, config: BGKConfig,
         if prefix.shape[-1]:
             slab[win + above] += prefix[..., -1:]
         if rho_win.size and not (np.isfinite(rho_win.max()) and np.isfinite(rho_win.min())):
-            raise NumericalAbortError(
-                f"non-finite density at step {k + 1} (t = {t_next})",
-                step=k + 1, time=t_next,
-            )
+            raise NumericalAbortError(f"non-finite density at step {k + 1} (t = {t_next})")
         if edge and not warned:
             _warn_edge(k + 1, t_next)
             warned = True

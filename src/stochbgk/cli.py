@@ -58,41 +58,40 @@ def cmd_simulate(cfg, seed, out) -> int:
     return 0 if report.passed() else 1
 
 
-def cmd_convergence(cfg, seed, out) -> int:
-    params = build_convergence_params(cfg)
+def convergence_ladder(params, seed):
+    """The L1 error of the BGK engine against the shift-reduction oracle,
+    averaged over the snapshots in [T/2, T], on each level of the refinement
+    ladder.  Returns the rows of convergence.csv, (level, n, h, dt, epsilon,
+    l1_error), and the fitted rate -slope of log2 error over level."""
     spec, base, c, horizon = params.spec, params.base, params.c, params.base.horizon
-    rows, errs = [], []
+    rows = []
     for lvl in range(params.levels):
         n = base.n * (2 ** lvl)
         h = 2.0 * base.half_width / n
         n_steps = max(1, int(round(horizon / (params.dt_over_h * h))))
         dt = horizon / n_steps
         eps = params.eps_over_dt * dt
-        cfg_l = replace(base, n=n, dt=dt, epsilon=eps,
-                        snapshot_stride=max(1, n_steps // 8))
         path = sample_path(seed, dt, horizon, dim=1)
-        traj = run_simulation(spec, cfg_l, path)
-        flux = (lambda r, c=c: c * spec.f(r))
-        fsup = abs(c) * spec.f_prime_sup(traj.vgrid.bound)
-        _, oracle = shift_reduction_oracle(flux, traj.initial(), path, horizon,
-                                           flux_sup_speed=max(fsup, 1e-12))
-        sample_errs = []
-        for i, t in enumerate(traj.times):
-            if t < horizon / 2:
-                continue
-            k = int(round(t / path.dt))
-            sample_errs.append(float(np.sum(np.abs(traj.rho[i] - oracle[k])) * h))
-        err = float(np.mean(sample_errs))
-        rows.append((lvl, n, h, dt, eps, err))
-        errs.append(err)
+        traj = run_simulation(spec, replace(base, n=n, dt=dt, epsilon=eps,
+                                            snapshot_stride=max(1, n_steps // 8)), path)
+        _, oracle = shift_reduction_oracle(lambda r: c * spec.f(r), traj.initial(), path,
+                                           horizon, abs(c) * spec.f_prime_sup(traj.vgrid.bound))
+        errs = [float(np.sum(np.abs(traj.rho[i] - oracle[int(round(t / path.dt))])) * h)
+                for i, t in enumerate(traj.times) if t >= horizon / 2]
+        rows.append((lvl, n, h, dt, eps, float(np.mean(errs))))
+    rate = float(-np.polyfit(np.arange(params.levels), np.log2([r[-1] for r in rows]), 1)[0])
+    return rows, rate
+
+
+def cmd_convergence(cfg, seed, out) -> int:
+    rows, rate = convergence_ladder(build_convergence_params(cfg), seed)
+    for lvl, n, h, dt, eps, err in rows:
         print(f"level {lvl}: n={n} h={h:.5g} dt={dt:.5g} eps={eps:.5g} L1={err:.6g}")
-    rate = float(-np.polyfit(np.arange(params.levels), np.log2(errs), 1)[0])
     print(f"fitted rate: {rate:.3f}")
-    files = [os.path.join(out, "convergence.csv")]
+    files = [os.path.join(out, "convergence.csv"), os.path.join(out, "convergence_summary.csv")]
     write_rows(files[0], ["level", "n", "h", "dt", "epsilon", "l1_error"], rows)
-    summary = os.path.join(out, "convergence_summary.csv")
-    write_rows(summary, ["fitted_rate", "finest_error"], [(rate, errs[-1])])
-    _finish_bundle(out, cfg, seed, files + [summary])
+    write_rows(files[1], ["fitted_rate", "finest_error"], [(rate, rows[-1][-1])])
+    _finish_bundle(out, cfg, seed, files)
     return 0
 
 

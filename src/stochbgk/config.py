@@ -162,19 +162,36 @@ def build_spec(cfg: dict) -> ProblemSpec:
                      build_field(cfg, dim), build_initial(cfg, dim))
 
 
+def _check_step_count(dt: float, horizon: float, dim: int, dt_path: str,
+                      horizon_path: str) -> None:
+    """The Brownian path of round(horizon / dt) steps is a (steps, dim) float64
+    array; NumPy cannot allocate one of more than sys.maxsize bytes."""
+    # a quotient above 2**53 is already an integer, and below it the bound is
+    # out of reach, so round() changes nothing (and would raise on inf)
+    if horizon / dt * dim * 8 > sys.maxsize:
+        raise ConfigurationError(
+            f"fields '{dt_path}' and '{horizon_path}': a {dim}D Brownian path of "
+            f"{horizon} / {dt} float64 steps exceeds sys.maxsize bytes")
+
+
 def build_bgk_config(cfg: dict) -> BGKConfig:
     dt = _get(cfg, "bgk.dt", float, above=0.0)
     half_width = _get(cfg, "grid.half_width", float, above=0.0)
     n = _get(cfg, "grid.n", int, low=4)
-    if 2.0 * half_width / n < sys.float_info.min:
-        # a zero or subnormal cell width would abort the run at its first step
+    dim = _get(cfg, "grid.dim", int)
+    width = 2.0 * half_width / n
+    volume = math.prod([width] * dim)  # inf, not OverflowError, when it overflows
+    if not (sys.float_info.min <= width < math.inf and sys.float_info.min <= volume < math.inf):
         raise ConfigurationError(
             f"field 'grid.half_width' is {half_width}: the cell width 2 * half_width / "
-            f"grid.n is below the smallest normal float {sys.float_info.min}")
+            f"grid.n = {width} and the cell volume width^grid.dim = {volume} must be "
+            f"finite and at least the smallest normal float {sys.float_info.min}")
+    horizon = _get(cfg, "bgk.horizon", float, low=dt)
+    _check_step_count(dt, horizon, dim, "bgk.dt", "bgk.horizon")
     return BGKConfig(
         epsilon=_get(cfg, "bgk.epsilon", float, above=0.0),
         dt=dt,
-        horizon=_get(cfg, "bgk.horizon", float, low=dt),
+        horizon=horizon,
         half_width=half_width,
         n=n,
         n_v=_even(cfg, "grid.n_v", 32),
@@ -267,11 +284,15 @@ def build_paths_params(cfg: dict) -> PathsParams:
     delta = _get(cfg, "paths_cmd.delta", float, 2.0 ** -14, above=0.0)
     if delta >= 1.0 / math.e:
         raise ConfigurationError(f"field 'paths_cmd.delta' is {delta}, must be < 1/e")
+    horizon = _get(cfg, "paths_cmd.horizon", float, 1.0, low=delta)
+    dims = _list(cfg, "paths_cmd.dims", int, [1, 2], low=1)
+    _check_step_count(delta, horizon, max(dims, default=0), "paths_cmd.delta",
+                      "paths_cmd.horizon")
     return PathsParams(
         delta=delta,
         count=_get(cfg, "paths_cmd.count", int, 100, low=1),
-        horizon=_get(cfg, "paths_cmd.horizon", float, 1.0, low=delta),
-        dims=_list(cfg, "paths_cmd.dims", int, [1, 2], low=1),
+        horizon=horizon,
+        dims=dims,
     )
 
 

@@ -25,9 +25,4 @@ class StructuralViolationError(StochBGKError):
 
 
 class NumericalAbortError(StochBGKError):
-    """NaN/Inf detected while time stepping; carries diagnostics."""
-
-    def __init__(self, message, step=None, time=None):
-        super().__init__(message)
-        self.step = step
-        self.time = time
+    """NaN/Inf detected while time stepping; the message names the step."""

@@ -8,6 +8,8 @@ ladder must converge to the value that quadrature of |d_x rho| + |d_y rho|
 gives, including the definite BV increase the flow produces by t = 1.
 """
 
+import hashlib
+import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -19,13 +21,14 @@ from stochbgk.audit import (check_defect_structure, check_energy_defect_identity
                             check_l1_growth, check_max_principle, entropy_residual)
 from stochbgk.bgk import BGKConfig, picard_solve, run_simulation
 from stochbgk.brownian import sample_path, sample_paths, levy_modulus_statistic
+from stochbgk.cli import convergence_ladder, main
+from stochbgk.config import build_convergence_params
 from stochbgk.counterexample import (b1, b1_prime, b2, b2_prime,
                                      bv_growth_experiment, cusp_data,
                                      smooth_control_data,
                                      stochastic_counterpart)
 from stochbgk.fields import lp_norm
 from stochbgk.grids import SpatialGrid
-from stochbgk.oracles import shift_reduction_oracle
 from stochbgk.problem import (burgers_const_1d, burgers_tanh_1d, bump_data,
                               plateau_data, random_bv_data)
 
@@ -126,26 +129,37 @@ def test_criterion_03_defect_structure(burgers_run, full_box_run):
                           f"energy gap {energy.measured:.3g} <= {energy.bound:.3g}")
 
 
+# criterion 4 is `stochbgk convergence` on this config; the ladder sets dt and
+# epsilon per level, so bgk.dt and bgk.epsilon only satisfy the schema
+CRITERION_4_CFG = {
+    "experiment": "convergence",
+    "spec": {"flux": "burgers", "field": {"preset": "constant", "c": [1.0]},
+             "initial": {"preset": "plateau", "height": 1.0, "a": -1.0, "b": 0.0}},
+    "grid": {"dim": 1, "half_width": 3.0, "n": 128, "n_v": 32},
+    "bgk": {"epsilon": 0.01, "dt": 0.01, "horizon": 0.5},
+    "convergence": {"levels": 4, "dt_over_h": 0.25, "eps_over_dt": 1.0},
+    "monte_carlo": {"master_seed": GOLDEN_SEED},
+}
+
+
+def test_criterion_04_convergence_bundle_bytes(tmp_path):
+    # recorded before the ladder moved out of cmd_convergence
+    cfg_file = tmp_path / "conv.json"
+    cfg_file.write_text(json.dumps(CRITERION_4_CFG))
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", str(cfg_file), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "convergence.csv").read_bytes()).hexdigest()
+    assert digest == "321dee5b354fabebf4248fec156e7c6d0b04ce6d1ab85257435aaa14a102f94b"
+    assert (out / "convergence_summary.csv").read_text().splitlines() == [
+        "fitted_rate,finest_error", "0.80881252591885155,0.0090728317984420381"]
+
+
 def test_criterion_04_oracle_equivalence():
-    T, L = 0.5, 3.0
-    spec = burgers_const_1d(plateau_data(1.0, -1.0, 0.0), c=1.0)
-    errs = []
-    for n in (128, 256, 512, 1024):
-        h = 2 * L / n
-        n_steps = max(1, round(T / (0.25 * h)))
-        dt = T / n_steps
-        cfg = BGKConfig(epsilon=dt, dt=dt, horizon=T, half_width=L, n=n,
-                        n_v=32, snapshot_stride=max(1, n_steps // 8))
-        path = sample_path(GOLDEN_SEED, dt, T, dim=1)
-        traj = run_simulation(spec, cfg, path)
-        _, oracle = shift_reduction_oracle(lambda r: 0.5 * r * r,
-                                           traj.initial(), path, T,
-                                           flux_sup_speed=1.0)
-        sample = [float(np.sum(np.abs(traj.rho[i] - oracle[round(t / path.dt)])) * h)
-                  for i, t in enumerate(traj.times) if t >= T / 2]
-        errs.append(float(np.mean(sample)))
-        rho0_l1 = lp_norm(traj.initial(), 1)
-    rate = float(-np.polyfit(np.arange(len(errs)), np.log2(errs), 1)[0])
+    params = build_convergence_params(CRITERION_4_CFG)
+    rows, rate = convergence_ladder(params, GOLDEN_SEED)
+    errs = [row[-1] for row in rows]
+    finest = SpatialGrid(1, params.base.half_width, rows[-1][1])
+    rho0_l1 = lp_norm(params.spec.initial_field(finest), 1)
     rel = errs[-1] / rho0_l1
     ok = all(b < a for a, b in zip(errs, errs[1:]))
     ok &= 0.7 <= rate <= 1.3

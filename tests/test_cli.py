@@ -174,6 +174,11 @@ class TestValidation:
         ("simulate", "bgk.horizon", 0.001),
         ("simulate", "grid.half_width", 5e-324),
         ("simulate", "grid.half_width", 1e-320),
+        ("simulate", "grid.half_width", 1e308),  # the cell width overflows
+        ("cusp", "grid.half_width", 1e160),  # the cell volume overflows
+        ("cusp", "grid.half_width", 1e-170),  # the cell volume underflows to 0
+        ("simulate", "bgk.dt", 1e-300),  # steps past NumPy's largest array
+        ("simulate", "bgk.horizon", 1e300),
         ("simulate", "spec.initial.height", "tall"),
         ("simulate", "spec.initial.height", math.inf),
         ("tanh", "spec.field.amplitude", math.nan),
@@ -190,6 +195,7 @@ class TestValidation:
         ("convergence", "convergence.dt_over_h", 0),
         ("convergence", "convergence.dt_over_h", "x"),
         ("paths", "paths_cmd.delta", "small"),
+        ("paths", "paths_cmd.delta", 1e-300),
         ("paths", "paths_cmd.count", 0),
         ("paths", "paths_cmd.dims", "12"),
     ]
@@ -215,6 +221,16 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "'spec.field.amplitude'" in err and "'spec.field.width'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("base, path, value, keys", [
+        ("simulate", "bgk.dt", 1e-300, ("bgk.dt", "bgk.horizon")),
+        ("simulate", "bgk.horizon", 1e300, ("bgk.dt", "bgk.horizon")),
+        ("paths", "paths_cmd.delta", 1e-300, ("paths_cmd.delta", "paths_cmd.horizon"))])
+    def test_step_count_past_numpy_names_both_keys(self, base, path, value, keys):
+        # NumPy raises ValueError for an array of more than sys.maxsize bytes
+        with pytest.raises(ConfigurationError) as err:
+            validate_run_config(_edited(self.BASES[base], path, value))
+        assert all(f"'{key}'" in str(err.value) for key in keys)
 
     @pytest.mark.parametrize("variant", ["cusp2d", "smooth"])
     def test_cusp_flow_variants_validate(self, variant):
